@@ -1,0 +1,8 @@
+// Symmetric rank-k update C += A * A^T.
+params N;
+assume N >= 2;
+array C[N][N]; array A[N][N];
+for (i = 0; i < N; i++)
+  for (j = 0; j < N; j++)
+    for (k = 0; k < N; k++)
+      C[i][j] = C[i][j] + A[i][k] * A[j][k];
