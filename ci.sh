@@ -3,6 +3,8 @@
 # build, full offline test suite, the 200-kernel fixed-seed differential
 # fuzz run, a bench_json smoke run with BENCH_*.json schema checks, a
 # bench_diff perf-regression gate against the committed baselines, a
+# smoke run of the repo benchmark's kernel_exec workload (the only build
+# of benchmark/ against the workspace crates), a
 # concurrent-compile isolation smoke (per-session telemetry), a plutod
 # daemon smoke (cache hits + the stats aggregation invariant re-derived
 # from the wire documents), and a trace-schema smoke run of
@@ -47,7 +49,8 @@ cp BENCH_pipeline.json /tmp/pluto-ci-baseline-pipeline.json
 cp BENCH_kernels.json /tmp/pluto-ci-baseline-kernels.json
 cargo run --release --offline -p pluto-bench
 grep -q '"schema": "pluto-bench-pipeline/3"' BENCH_pipeline.json
-grep -q '"schema": "pluto-bench-kernels/2"' BENCH_kernels.json
+grep -q '"schema": "pluto-bench-kernels/3"' BENCH_kernels.json
+grep -q '"engine": "bytecode"' BENCH_kernels.json
 
 echo "== bench_diff: fresh run vs committed baselines (soft wall-time gate) =="
 # Counter-based metrics are deterministic and gate hard (fail >= 50 %
@@ -64,6 +67,18 @@ if ./target/release/bench_diff \
     echo "bench_diff failed to flag the fixture regression" >&2
     exit 1
 fi
+
+echo "== benchmark smoke: benchmark/ builds against these crates; kernel_exec verifies =="
+# benchmark/ is its own workspace, so the `--workspace` build above never
+# compiles benchmark/src/layers.rs — the one file that calls the
+# library — against the crates as they are now. kernel_exec is the
+# workload that runs the executors: its digests of every result array
+# (tree-walk reference, bytecode, simulated runs) must all match.
+for trace in 0 1; do
+    bash benchmark/run.sh --smoke --workload kernel_exec --trace "$trace" \
+        | tail -n 1 > /tmp/pluto-ci-benchmark.json
+    grep -q '"failed": 0,' /tmp/pluto-ci-benchmark.json
+done
 
 echo "== pooled-executor smoke: plutoc --threads 4 --profile --trace on seidel-2d =="
 # --trace triggers a real execution through the persistent-pool compiled

@@ -5,7 +5,7 @@
 //! ```
 //!
 //! Compares a committed baseline against a freshly emitted document of
-//! the same schema (`pluto-bench-pipeline/2` or `pluto-bench-kernels/2`)
+//! the same schema (`pluto-bench-pipeline/3` or `pluto-bench-kernels/3`)
 //! and prints the delta table. Gating policy (PERFORMANCE.md §6):
 //! counter-based metrics are deterministic, so an increase ≥ the fail
 //! threshold exits 1 and any change ≥ the warn threshold warns;

@@ -2,12 +2,13 @@
 //! root: `BENCH_pipeline.json` (per-kernel compile-phase breakdown,
 //! solver counters, and ILP latency histograms with p50/p95 estimates,
 //! schema `pluto-bench-pipeline/3`) and
-//! `BENCH_kernels.json` (original-sequential vs pluto-sequential
-//! tree-walk run times against the pluto-wavefront variant on the
-//! compiled bytecode executor + persistent worker pool — compiled once,
-//! sampled many times — plus the per-kernel runtime-execution section:
-//! load imbalance, barrier wait, per-array cache attribution; schema
-//! `pluto-bench-kernels/2`).
+//! `BENCH_kernels.json` (original-sequential, pluto-sequential and
+//! pluto-wavefront run times, all three on the compiled bytecode
+//! executor — compiled once, sampled many times; the wavefront over the
+//! persistent worker pool — plus the per-kernel runtime-execution
+//! section: load imbalance, barrier wait, per-array cache attribution;
+//! schema `pluto-bench-kernels/3`, whose `meta.engine` names the engine
+//! so `bench_diff` refuses the tree-walk-timed `/2` baselines).
 //!
 //! Both documents carry a `meta` object (kernel-set hash, thread count,
 //! sample count, tile size) so `bench_diff` can refuse to compare
@@ -26,8 +27,8 @@ use pluto_bench::variants;
 use pluto_codegen::generate;
 use pluto_frontend::kernels::{self, Kernel};
 use pluto_machine::{
-    compile_kernel, pool, run_compiled_parallel, run_compiled_parallel_profiled, run_sequential,
-    run_with_cache_attributed, Arrays, CacheConfig, ParallelConfig,
+    compile_kernel, pool, run_compiled_kernel, run_compiled_parallel,
+    run_compiled_parallel_profiled, run_with_cache_attributed, Arrays, CacheConfig, ParallelConfig,
 };
 use pluto_obs::aggregate::fnv1a;
 use pluto_obs::{exec_json, json, Session};
@@ -84,17 +85,22 @@ fn kernel_set_hash(set: &[(&'static str, Kernel, Vec<i64>)]) -> String {
     format!("{:016x}", fnv1a(desc.as_bytes()))
 }
 
-/// The shared `meta` object (identical in both documents).
+/// The shared `meta` object (identical in both documents, except that
+/// the kernels document adds the `engine` its variants were timed on).
 /// `pool_spawns` records the process-lifetime thread budget: one
 /// persistent pool of `THREADS - 1` workers, warmed on the first
 /// wavefront dispatch and never grown again — `main` asserts the real
 /// spawn counter matches after all sampling.
-fn meta_json(set: &[(&'static str, Kernel, Vec<i64>)]) -> String {
+fn meta_json(set: &[(&'static str, Kernel, Vec<i64>)], engine: Option<&str>) -> String {
     format!(
         "  \"meta\": {{\n    \"kernel_set_hash\": \"{}\",\n    \"tile\": {TILE},\n    \
-         \"threads\": {THREADS},\n    \"samples\": {SAMPLES},\n    \"pool_spawns\": {}\n  }},\n",
+         \"threads\": {THREADS},\n    \"samples\": {SAMPLES},\n    \"pool_spawns\": {}{}\n  }},\n",
         kernel_set_hash(set),
-        THREADS - 1
+        THREADS - 1,
+        engine.map_or(String::new(), |e| format!(
+            ",\n    \"engine\": {}",
+            json::escape(e)
+        ))
     )
 }
 
@@ -130,7 +136,7 @@ fn main() {
 /// track latency-distribution drift alongside the counter gates).
 fn emit_pipeline(set: &[(&'static str, Kernel, Vec<i64>)]) -> String {
     let mut out = String::from("{\n  \"schema\": \"pluto-bench-pipeline/3\",\n");
-    out.push_str(&meta_json(set));
+    out.push_str(&meta_json(set, None));
     out.push_str("  \"kernels\": [");
     for (i, (name, k, _)) in set.iter().enumerate() {
         let session = Session::start();
@@ -198,12 +204,12 @@ fn emit_pipeline(set: &[(&'static str, Kernel, Vec<i64>)]) -> String {
 }
 
 /// Samples original-sequential, pluto-sequential and pluto-wavefront
-/// interpreter runs for every kernel, then measures the wavefront
+/// bytecode runs for every kernel, then measures the wavefront
 /// variant's execution profile (imbalance, barrier wait, per-array
 /// attribution) in one additional instrumented run per kernel.
 fn emit_kernels(set: &[(&'static str, Kernel, Vec<i64>)]) -> String {
-    let mut out = String::from("{\n  \"schema\": \"pluto-bench-kernels/2\",\n");
-    out.push_str(&meta_json(set));
+    let mut out = String::from("{\n  \"schema\": \"pluto-bench-kernels/3\",\n");
+    out.push_str(&meta_json(set, Some("bytecode")));
     out.push_str(&format!("  \"samples\": {SAMPLES},\n  \"kernels\": ["));
     for (i, (name, k, params)) in set.iter().enumerate() {
         let orig = variants::orig(&k.program);
@@ -216,20 +222,21 @@ fn emit_kernels(set: &[(&'static str, Kernel, Vec<i64>)]) -> String {
             a.seed_with(kernels::seed_value);
             a
         };
+        // Compile each schedule once; every timed sample then pays only
+        // bytecode execution — the deployment pattern, and one engine
+        // under all three variants so their ratios compare schedules.
+        let orig_ck = compile_kernel(&k.program, &orig_ast, params, &fresh());
+        let ck = compile_kernel(&k.program, &pluto_ast, params, &fresh());
         let seq = sample(SAMPLES, || {
-            run_sequential(&k.program, &orig_ast, params, &mut fresh());
+            run_compiled_kernel(&orig_ck, &mut fresh());
         });
         let tra = sample(SAMPLES, || {
-            run_sequential(&k.program, &pluto_ast, params, &mut fresh());
+            run_compiled_kernel(&ck, &mut fresh());
         });
         let cfg = ParallelConfig {
             threads: THREADS,
             collapse: pluto.collapse,
         };
-        // Compile the wavefront variant once; every timed sample then
-        // pays only bytecode execution — the deployment pattern (and the
-        // reason the wavefront beats the tree-walk sequential baseline).
-        let ck = compile_kernel(&k.program, &pluto_ast, params, &fresh());
         let par = sample(SAMPLES, || {
             run_compiled_parallel(&ck, &mut fresh(), cfg);
         });

@@ -3,7 +3,7 @@
 //! across PRs is this gap and the counter table".
 //!
 //! [`diff_documents`] compares two documents of the same schema
-//! (`pluto-bench-pipeline/2` or `/3`, or `pluto-bench-kernels/2`)
+//! (`pluto-bench-pipeline/2` or `/3`, or `pluto-bench-kernels/3`)
 //! metric by metric. The gating policy follows PERFORMANCE.md §6:
 //!
 //! * **counter-based metrics** (solver counters, dispatch counts,
@@ -165,17 +165,19 @@ fn find_by<'a>(items: &'a [Json], key: &str, value: &str) -> Option<&'a Json> {
         .find(|it| it.get(key).and_then(|n| n.as_str()) == Some(value))
 }
 
-/// Checks the `meta` sections agree field-by-field.
-fn check_meta(base: &Json, fresh: &Json) -> Result<(), DiffError> {
+/// Checks the `meta` sections agree field-by-field (`engine` is the
+/// kernels document's: run times from different engines don't compare).
+fn check_meta(base: &Json, fresh: &Json, is_pipeline: bool) -> Result<(), DiffError> {
     let bm = field(base, "meta", "baseline document")?;
     let fm = field(fresh, "meta", "fresh document")?;
-    for key in [
+    let shared = [
         "kernel_set_hash",
         "tile",
         "threads",
         "samples",
         "pool_spawns",
-    ] {
+    ];
+    for key in shared.into_iter().chain((!is_pipeline).then_some("engine")) {
         let bv = field(bm, key, "baseline meta")?;
         let fv = field(fm, key, "fresh meta")?;
         let same = match (bv.as_str(), fv.as_str()) {
@@ -212,10 +214,10 @@ pub fn diff_documents(
         return Err(DiffError::Incompatible(format!("schema `{bs}` vs `{fs}`")));
     }
     let is_pipeline = bs == "pluto-bench-pipeline/2" || bs == "pluto-bench-pipeline/3";
-    if !is_pipeline && bs != "pluto-bench-kernels/2" {
+    if !is_pipeline && bs != "pluto-bench-kernels/3" {
         return Err(DiffError::Parse(format!("unknown schema `{bs}`")));
     }
-    check_meta(&base, &fresh)?;
+    check_meta(&base, &fresh, is_pipeline)?;
     let mut d = Differ {
         warn,
         fail,
@@ -498,6 +500,26 @@ mod tests {
         let fresh = base.replace("\"threads\": 4", "\"threads\": 8");
         let err = diff_documents(&base, &fresh, DEFAULT_WARN, DEFAULT_FAIL).unwrap_err();
         assert!(matches!(err, DiffError::Incompatible(_)), "{err}");
+    }
+
+    /// The kernels document names its engine: a baseline timed on
+    /// another engine — or a `/2` one, which did not say — is refused.
+    #[test]
+    fn kernels_engine_mismatch_and_v2_are_refused() {
+        let doc = r#"{"schema": "pluto-bench-kernels/3",
+            "meta": {"kernel_set_hash": "abc", "tile": 8, "threads": 4, "samples": 5,
+                     "pool_spawns": 3, "engine": "bytecode"},
+            "kernels": []}"#;
+        let r = diff_documents(doc, doc, DEFAULT_WARN, DEFAULT_FAIL).unwrap();
+        assert_eq!(r.compared, 0);
+        let other = doc.replace("bytecode", "tree-walk");
+        let err = diff_documents(&other, doc, DEFAULT_WARN, DEFAULT_FAIL).unwrap_err();
+        assert!(matches!(err, DiffError::Incompatible(_)), "{err}");
+        let v2 = doc.replace("kernels/3", "kernels/2");
+        let err = diff_documents(&v2, doc, DEFAULT_WARN, DEFAULT_FAIL).unwrap_err();
+        assert!(matches!(err, DiffError::Incompatible(_)), "{err}");
+        let err = diff_documents(&v2, &v2, DEFAULT_WARN, DEFAULT_FAIL).unwrap_err();
+        assert!(matches!(err, DiffError::Parse(_)), "{err}");
     }
 
     #[test]

@@ -1,57 +1,20 @@
-//! The AST interpreter: sequential, cache-simulated and multi-threaded.
+//! The reference evaluator: a recursive tree walk over the loop [`Ast`],
+//! sequential only.
 //!
-//! Since the pooled/bytecode engine landed (DESIGN.md §9), this module
-//! is the *reference* tree-walk: [`run_sequential`] stays the
-//! correctness oracle (per-subscript bounds asserts, recursive f64
-//! evaluation), the cache and sanitizer runs build on it, and
-//! [`run_parallel_scoped`] keeps the legacy spawn-per-dispatch scoped
-//! `std::thread` team alive as the differential partner the fuzz
-//! battery compares the pooled engine against.
+//! Everything that ships runs on the bytecode engine (`exec.rs`); this
+//! walk exists to be compared against. It shares nothing with
+//! `compile.rs` — it evaluates the IR access matrices per instance in
+//! `i128`, asserts every subscript against its own extent (the compiled
+//! engine checks only the flattened offset), and evaluates statement
+//! bodies recursively — so the fuzz oracle, `plutoc --verify` and the
+//! benchmark's frozen result digests can treat it as ground truth for
+//! the engine.
 
 use crate::arrays::Arrays;
-use crate::cache::{CacheConfig, CacheSim, CacheStats};
-use crate::mem::{Direct, Mem, RawMem, SendPtr};
+use crate::exec::ExecStats;
 use pluto_codegen::Ast;
 use pluto_ir::{Expr, Program};
 use pluto_linalg::Int;
-
-/// Counters accumulated during one execution.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ExecStats {
-    /// Statement instances executed.
-    pub instances: u64,
-    /// Floating-point operations executed (per-body op count).
-    pub flops: u64,
-    /// Parallel regions entered (≈ barrier count in the OpenMP mapping).
-    pub parallel_regions: u64,
-}
-
-impl ExecStats {
-    pub(crate) fn merge(&mut self, o: ExecStats) {
-        self.instances += o.instances;
-        self.flops += o.flops;
-        self.parallel_regions += o.parallel_regions;
-    }
-}
-
-/// Thread-team configuration for [`run_parallel`](crate::run_parallel).
-#[derive(Debug, Clone, Copy)]
-pub struct ParallelConfig {
-    /// Worker threads (the paper's "number of cores").
-    pub threads: usize,
-    /// How many consecutive parallel loops to collapse into one work list
-    /// (2 exploits two degrees of pipelined parallelism, as in Fig. 13).
-    pub collapse: usize,
-}
-
-impl Default for ParallelConfig {
-    fn default() -> ParallelConfig {
-        ParallelConfig {
-            threads: 4,
-            collapse: 1,
-        }
-    }
-}
 
 /// Pre-lowered per-statement execution info.
 struct StmtInfo {
@@ -65,13 +28,11 @@ struct StmtInfo {
 
 struct Ctx {
     stmts: Vec<StmtInfo>,
-    extents: Vec<Vec<usize>>,
-    bases: Vec<u64>,
     params: Vec<Int>,
 }
 
 impl Ctx {
-    fn new(prog: &Program, params: &[i64], arrays: &Arrays) -> Ctx {
+    fn new(prog: &Program, params: &[i64]) -> Ctx {
         assert_eq!(params.len(), prog.num_params(), "parameter count mismatch");
         let stmts = prog
             .stmts
@@ -85,44 +46,15 @@ impl Ctx {
                 n_iters: s.num_iters(),
             })
             .collect();
-        let mut bases = Vec::with_capacity(arrays.num_arrays());
-        let mut next = 0u64;
-        let extents: Vec<Vec<usize>> = (0..arrays.num_arrays())
-            .map(|a| arrays.extents(a).to_vec())
-            .collect();
-        for e in &extents {
-            bases.push(next);
-            let len: usize = e.iter().product::<usize>().max(1);
-            next += (len as u64 * 8).div_ceil(64) * 64;
-        }
         Ctx {
             stmts,
-            extents,
-            bases,
             params: params.iter().map(|&p| p as Int).collect(),
         }
     }
 }
 
-struct Cached<'a> {
-    arrays: &'a mut Arrays,
-    sim: &'a mut CacheSim,
-}
-
-impl Mem for Cached<'_> {
-    #[inline]
-    fn load(&mut self, a: usize, off: usize, addr: u64) -> f64 {
-        self.sim.access_for(a, addr);
-        self.arrays.load(a, off)
-    }
-    #[inline]
-    fn store(&mut self, a: usize, off: usize, addr: u64, v: f64) {
-        self.sim.access_for(a, addr);
-        self.arrays.store(a, off, v);
-    }
-}
-
 /// Scratch buffers reused across statement instances.
+#[derive(Default)]
 struct Scratch {
     iters: Vec<Int>,
     vp: Vec<Int>,
@@ -130,24 +62,6 @@ struct Scratch {
     iters_i64: Vec<i64>,
     /// Per-statement suppression depth from enclosing `Filter` nodes.
     suppressed: Vec<u32>,
-}
-
-impl Scratch {
-    fn new() -> Scratch {
-        Scratch {
-            iters: Vec::new(),
-            vp: Vec::new(),
-            reads: Vec::new(),
-            iters_i64: Vec::new(),
-            suppressed: Vec::new(),
-        }
-    }
-
-    fn with_stmts(n: usize) -> Scratch {
-        let mut s = Scratch::new();
-        s.suppressed = vec![0; n];
-        s
-    }
 }
 
 fn eval_row(row: &[Int], vp: &[Int]) -> Int {
@@ -158,18 +72,36 @@ fn eval_row(row: &[Int], vp: &[Int]) -> Int {
     v
 }
 
-fn exec<M: Mem>(
+/// Row-major offset of one access to array `a`, every subscript asserted
+/// against its own extent. Forced inline: out of line, `plutoc --verify`
+/// measured 4 % slower.
+#[inline(always)]
+fn offset(a: usize, rows: &[Vec<Int>], extents: &[usize], vp: &[Int]) -> usize {
+    let mut off = 0usize;
+    for (k, row) in rows.iter().enumerate() {
+        let s = eval_row(row, vp);
+        let e = extents[k];
+        assert!(
+            s >= 0 && (s as usize) < e,
+            "array {a}: subscript {k} = {s} out of 0..{e}"
+        );
+        off = off * e + s as usize;
+    }
+    off
+}
+
+fn exec(
     ast: &Ast,
     vals: &mut [Int],
     ctx: &Ctx,
-    mem: &mut M,
+    arrays: &mut Arrays,
     sc: &mut Scratch,
     stats: &mut ExecStats,
 ) {
     match ast {
         Ast::Seq(v) => {
             for a in v {
-                exec(a, vals, ctx, mem, sc, stats);
+                exec(a, vals, ctx, arrays, sc, stats);
             }
         }
         Ast::Loop(l) => {
@@ -178,7 +110,7 @@ fn exec<M: Mem>(
             let mut x = lb;
             while x <= ub {
                 vals[l.var] = x;
-                exec(&l.body, vals, ctx, mem, sc, stats);
+                exec(&l.body, vals, ctx, arrays, sc, stats);
                 x += 1;
             }
         }
@@ -186,11 +118,11 @@ fn exec<M: Mem>(
             var, expr, body, ..
         } => {
             vals[*var] = expr.eval_floor(vals);
-            exec(body, vals, ctx, mem, sc, stats);
+            exec(body, vals, ctx, arrays, sc, stats);
         }
         Ast::Guard { conds, body } => {
             if conds.iter().all(|c| c.holds(vals)) {
-                exec(body, vals, ctx, mem, sc, stats);
+                exec(body, vals, ctx, arrays, sc, stats);
             }
         }
         Ast::Filter { stmt, conds, body } => {
@@ -198,26 +130,26 @@ fn exec<M: Mem>(
             if !pass {
                 sc.suppressed[*stmt] += 1;
             }
-            exec(body, vals, ctx, mem, sc, stats);
+            exec(body, vals, ctx, arrays, sc, stats);
             if !pass {
                 sc.suppressed[*stmt] -= 1;
             }
         }
         Ast::Stmt { stmt, orig_dims } => {
             if sc.suppressed[*stmt] == 0 {
-                run_stmt(*stmt, orig_dims, vals, ctx, mem, sc, stats);
+                run_stmt(*stmt, orig_dims, vals, ctx, arrays, sc, stats);
             }
         }
     }
 }
 
 #[inline]
-fn run_stmt<M: Mem>(
+fn run_stmt(
     stmt: usize,
     orig_dims: &[usize],
     vals: &[Int],
     ctx: &Ctx,
-    mem: &mut M,
+    arrays: &mut Arrays,
     sc: &mut Scratch,
     stats: &mut ExecStats,
 ) {
@@ -234,33 +166,13 @@ fn run_stmt<M: Mem>(
     sc.vp.extend_from_slice(&ctx.params);
     sc.reads.clear();
     for (a, rows) in &info.reads {
-        let mut off = 0usize;
-        for (k, row) in rows.iter().enumerate() {
-            let s = eval_row(row, &sc.vp);
-            let e = ctx.extents[*a][k];
-            assert!(
-                s >= 0 && (s as usize) < e,
-                "array {a}: subscript {k} = {s} out of 0..{e}"
-            );
-            off = off * e + s as usize;
-        }
-        let addr = ctx.bases[*a] + off as u64 * 8;
-        sc.reads.push(mem.load(*a, off, addr));
+        let off = offset(*a, rows, arrays.extents(*a), &sc.vp);
+        sc.reads.push(arrays.load(*a, off));
     }
     let v = info.body.eval(&sc.reads, &sc.iters_i64);
     let a = info.write_array;
-    let mut off = 0usize;
-    for (k, row) in info.write_rows.iter().enumerate() {
-        let s = eval_row(row, &sc.vp);
-        let e = ctx.extents[a][k];
-        assert!(
-            s >= 0 && (s as usize) < e,
-            "array {a}: subscript {k} = {s} out of 0..{e}"
-        );
-        off = off * e + s as usize;
-    }
-    let addr = ctx.bases[a] + off as u64 * 8;
-    mem.store(a, off, addr, v);
+    let off = offset(a, &info.write_rows, arrays.extents(a), &sc.vp);
+    arrays.store(a, off, v);
     stats.instances += 1;
     stats.flops += info.flops;
 }
@@ -268,637 +180,24 @@ fn run_stmt<M: Mem>(
 /// Runs the AST sequentially (parallel markers ignored).
 pub fn run_sequential(prog: &Program, ast: &Ast, params: &[i64], arrays: &mut Arrays) -> ExecStats {
     let _span = pluto_obs::span("execute/sequential");
-    let ctx = Ctx::new(prog, params, arrays);
+    let ctx = Ctx::new(prog, params);
     let mut vals = vec![0; ast.num_vars().max(params.len())];
-    for (k, &p) in params.iter().enumerate() {
-        vals[k] = p as Int;
-    }
+    vals[..params.len()].copy_from_slice(&ctx.params);
     let mut stats = ExecStats::default();
-    let mut sc = Scratch::with_stmts(prog.stmts.len());
-    exec(
-        ast,
-        &mut vals,
-        &ctx,
-        &mut Direct(arrays),
-        &mut sc,
-        &mut stats,
-    );
+    let mut sc = Scratch {
+        suppressed: vec![0; prog.stmts.len()],
+        ..Scratch::default()
+    };
+    exec(ast, &mut vals, &ctx, arrays, &mut sc, &mut stats);
     pluto_obs::counters::MACHINE_INSTANCES.add(stats.instances);
     stats
-}
-
-/// Runs the AST sequentially with every access driven through the cache
-/// simulator, attributing accesses per array. Shared by
-/// [`run_with_cache`] and [`run_with_cache_attributed`].
-fn run_cached_impl(
-    prog: &Program,
-    ast: &Ast,
-    params: &[i64],
-    arrays: &mut Arrays,
-    cfg: CacheConfig,
-) -> (ExecStats, CacheSim) {
-    let _span = pluto_obs::span("execute/cached");
-    let ctx = Ctx::new(prog, params, arrays);
-    let mut vals = vec![0; ast.num_vars().max(params.len())];
-    for (k, &p) in params.iter().enumerate() {
-        vals[k] = p as Int;
-    }
-    let mut stats = ExecStats::default();
-    let mut sim = CacheSim::with_arrays(cfg, prog.arrays.len());
-    let mut sc = Scratch::with_stmts(prog.stmts.len());
-    {
-        let mut mem = Cached {
-            arrays,
-            sim: &mut sim,
-        };
-        exec(ast, &mut vals, &ctx, &mut mem, &mut sc, &mut stats);
-    }
-    pluto_obs::counters::MACHINE_INSTANCES.add(stats.instances);
-    // Feed any active profile session the per-array attribution (inert
-    // one-load check otherwise), keyed by the IR array names.
-    if pluto_obs::enabled() {
-        for (i, s) in sim.per_array().iter().enumerate() {
-            if s.accesses > 0 {
-                pluto_obs::exec::record_array(
-                    &prog.arrays[i].name,
-                    s.accesses,
-                    s.l1_misses,
-                    s.l2_misses,
-                );
-            }
-        }
-    }
-    (stats, sim)
-}
-
-/// Runs the AST sequentially with every access driven through the cache
-/// simulator.
-pub fn run_with_cache(
-    prog: &Program,
-    ast: &Ast,
-    params: &[i64],
-    arrays: &mut Arrays,
-    cfg: CacheConfig,
-) -> (ExecStats, CacheStats) {
-    let (stats, sim) = run_cached_impl(prog, ast, params, arrays, cfg);
-    (stats, sim.stats)
-}
-
-/// Like [`run_with_cache`], additionally returning the per-array
-/// attribution as `(array name, stats)` pairs in IR declaration order
-/// (arrays the run never touched are included with zero counts).
-pub fn run_with_cache_attributed(
-    prog: &Program,
-    ast: &Ast,
-    params: &[i64],
-    arrays: &mut Arrays,
-    cfg: CacheConfig,
-) -> (ExecStats, CacheStats, Vec<(String, CacheStats)>) {
-    let (stats, sim) = run_cached_impl(prog, ast, params, arrays, cfg);
-    let per = sim
-        .per_array()
-        .iter()
-        .enumerate()
-        .map(|(i, s)| (prog.arrays[i].name.clone(), *s))
-        .collect();
-    (stats, sim.stats, per)
-}
-
-/// Per-run telemetry state threaded through the scoped parallel walker.
-struct Telemetry<'a> {
-    /// Measure chunk wall times and per-thread instance counts at all.
-    /// Off (no clock reads) unless a profile session or a trace is
-    /// active, or a caller asked for a local [`ExecProfile`]
-    /// (pluto_obs::ExecProfile).
-    measure: bool,
-    /// Local dispatch collector for [`run_parallel_profiled`].
-    dispatches: Option<&'a mut Vec<pluto_obs::exec::Dispatch>>,
-    /// Instances already flushed to `machine.instances` by per-dispatch
-    /// team flushes; the run's epilogue adds only the remainder the
-    /// coordinator executed outside any team.
-    flushed: u64,
-}
-
-/// Runs the AST with the *legacy* scoped thread team: every loop marked
-/// parallel distributes its iterations block-wise (collapsed work lists
-/// when `collapse >= 2` and the next loop in is parallel too) over
-/// `cfg.threads` scoped threads spawned per dispatch, with an implicit
-/// barrier at loop exit — the paper's OpenMP `parallel for` semantics.
-///
-/// [`run_parallel`](crate::run_parallel) routes through the persistent
-/// pool + compiled-kernel engine instead; this tree-walk engine is kept
-/// as its differential partner (the fuzz battery runs both and demands
-/// bit-exact agreement) and as the simplest-possible reference for the
-/// team semantics.
-///
-/// When a [`pluto_obs`] profile session or trace is active, each
-/// dispatch additionally records per-thread chunk times, load-imbalance
-/// inputs, and (for traces) per-thread begin/end events; with both off
-/// the walker takes no clock reads and allocates no trace buffers.
-pub fn run_parallel_scoped(
-    prog: &Program,
-    ast: &Ast,
-    params: &[i64],
-    arrays: &mut Arrays,
-    cfg: ParallelConfig,
-) -> ExecStats {
-    run_parallel_impl(prog, ast, params, arrays, cfg, None)
-}
-
-/// Like [`run_parallel_scoped`], additionally measuring every dispatch
-/// and returning the aggregated [`ExecProfile`](pluto_obs::ExecProfile)
-/// (load imbalance, barrier wait, per-thread instances) without
-/// requiring a global [`Session`](pluto_obs::Session). The profile's
-/// `arrays` section is empty — cache attribution comes from
-/// [`run_with_cache_attributed`], which simulates a sequential
-/// interleaving.
-pub fn run_parallel_scoped_profiled(
-    prog: &Program,
-    ast: &Ast,
-    params: &[i64],
-    arrays: &mut Arrays,
-    cfg: ParallelConfig,
-) -> (ExecStats, pluto_obs::ExecProfile) {
-    let mut dispatches = Vec::new();
-    let stats = run_parallel_impl(prog, ast, params, arrays, cfg, Some(&mut dispatches));
-    let profile = pluto_obs::ExecProfile::build(&dispatches, Vec::new());
-    (stats, profile)
-}
-
-fn run_parallel_impl(
-    prog: &Program,
-    ast: &Ast,
-    params: &[i64],
-    arrays: &mut Arrays,
-    cfg: ParallelConfig,
-    dispatches: Option<&mut Vec<pluto_obs::exec::Dispatch>>,
-) -> ExecStats {
-    let _span = pluto_obs::span("execute/parallel");
-    let ctx = Ctx::new(prog, params, arrays);
-    let mut vals = vec![0; ast.num_vars().max(params.len())];
-    for (k, &p) in params.iter().enumerate() {
-        vals[k] = p as Int;
-    }
-    let mut stats = ExecStats::default();
-    let ptrs: Vec<SendPtr> = arrays.raw().into_iter().map(SendPtr).collect();
-    let mut sc = Scratch::with_stmts(prog.stmts.len());
-    let mut tel = Telemetry {
-        measure: dispatches.is_some() || pluto_obs::exec_metrics_enabled(),
-        dispatches,
-        flushed: 0,
-    };
-    exec_outer(
-        ast, &mut vals, &ctx, &ptrs, cfg, &mut sc, &mut stats, &mut tel,
-    );
-    // Teams flushed their instances per dispatch; count only what the
-    // coordinator executed outside any team (no double counting).
-    pluto_obs::counters::MACHINE_INSTANCES.add(stats.instances - tel.flushed);
-    stats
-}
-
-/// Sequential walker that dispatches parallel loops onto the thread team.
-#[allow(clippy::too_many_arguments)]
-fn exec_outer(
-    ast: &Ast,
-    vals: &mut [Int],
-    ctx: &Ctx,
-    ptrs: &[SendPtr],
-    cfg: ParallelConfig,
-    sc: &mut Scratch,
-    stats: &mut ExecStats,
-    tel: &mut Telemetry,
-) {
-    match ast {
-        Ast::Seq(v) => {
-            for a in v {
-                exec_outer(a, vals, ctx, ptrs, cfg, sc, stats, tel);
-            }
-        }
-        Ast::Loop(l) if l.parallel && cfg.threads > 1 => {
-            run_team(l, vals, ctx, ptrs, cfg, sc, stats, tel);
-        }
-        Ast::Loop(l) => {
-            let lb = l.lb.eval_lower(vals);
-            let ub = l.ub.eval_upper(vals);
-            let mut x = lb;
-            while x <= ub {
-                vals[l.var] = x;
-                exec_outer(&l.body, vals, ctx, ptrs, cfg, sc, stats, tel);
-                x += 1;
-            }
-        }
-        Ast::Let {
-            var, expr, body, ..
-        } => {
-            vals[*var] = expr.eval_floor(vals);
-            exec_outer(body, vals, ctx, ptrs, cfg, sc, stats, tel);
-        }
-        Ast::Guard { conds, body } => {
-            if conds.iter().all(|c| c.holds(vals)) {
-                exec_outer(body, vals, ctx, ptrs, cfg, sc, stats, tel);
-            }
-        }
-        Ast::Filter { stmt, conds, body } => {
-            let pass = conds.iter().all(|c| c.holds(vals));
-            if !pass {
-                sc.suppressed[*stmt] += 1;
-            }
-            exec_outer(body, vals, ctx, ptrs, cfg, sc, stats, tel);
-            if !pass {
-                sc.suppressed[*stmt] -= 1;
-            }
-        }
-        Ast::Stmt { stmt, orig_dims } => {
-            if sc.suppressed[*stmt] == 0 {
-                let mut mem = RawMem { ptrs };
-                run_stmt(*stmt, orig_dims, vals, ctx, &mut mem, sc, stats);
-            }
-        }
-    }
-}
-
-/// One parallel region: distribute the loop (or a 2-deep collapsed work
-/// list) over the team and join (barrier).
-#[allow(clippy::too_many_arguments)]
-fn run_team(
-    l: &pluto_codegen::LoopNode,
-    vals: &mut [Int],
-    ctx: &Ctx,
-    ptrs: &[SendPtr],
-    cfg: ParallelConfig,
-    sc: &Scratch,
-    stats: &mut ExecStats,
-    tel: &mut Telemetry,
-) {
-    stats.parallel_regions += 1;
-    let lb = l.lb.eval_lower(vals);
-    let ub = l.ub.eval_upper(vals);
-    if lb > ub {
-        return;
-    }
-    // Work items: either single-loop values or collapsed (outer, inner)
-    // pairs when two consecutive parallel loops exist.
-    let inner: Option<&pluto_codegen::LoopNode> = if cfg.collapse >= 2 {
-        match &*l.body {
-            Ast::Loop(i) if i.parallel => Some(i),
-            _ => None,
-        }
-    } else {
-        None
-    };
-    let mut items: Vec<(Int, Int)> = Vec::new();
-    match inner {
-        Some(i) => {
-            let mut x = lb;
-            while x <= ub {
-                vals[l.var] = x;
-                let ilb = i.lb.eval_lower(vals);
-                let iub = i.ub.eval_upper(vals);
-                let mut y = ilb;
-                while y <= iub {
-                    items.push((x, y));
-                    y += 1;
-                }
-                x += 1;
-            }
-        }
-        None => {
-            let mut x = lb;
-            while x <= ub {
-                items.push((x, 0));
-                x += 1;
-            }
-        }
-    }
-    let nthreads = cfg.threads.min(items.len().max(1));
-    let body: &Ast = match inner {
-        Some(i) => &i.body,
-        None => &l.body,
-    };
-    let measure = tel.measure;
-    let name: &str = &l.name;
-    // Coordinator dispatch span (tid 0): brackets fork to join. `None`
-    // (no allocation) whenever tracing is off.
-    let mut coord = pluto_obs::trace::RingBuf::for_thread(0);
-    if let Some(b) = coord.as_mut() {
-        b.begin(
-            name,
-            &[("items", items.len() as u64), ("threads", nthreads as u64)],
-        );
-    }
-    // Spawned workers inherit the coordinator's session so their trace
-    // events and chunk timings land in the dispatching compile.
-    let obs_session = pluto_obs::ObsSession::current();
-    let results = std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(nthreads);
-        for t in 0..nthreads {
-            let chunk_lo = items.len() * t / nthreads;
-            let chunk_hi = items.len() * (t + 1) / nthreads;
-            let my_items = &items[chunk_lo..chunk_hi];
-            let mut my_vals = vals.to_vec();
-            let outer_var = l.var;
-            let inner_var = inner.map(|i| i.var);
-            let suppressed = sc.suppressed.clone();
-            let obs_session = &obs_session;
-            handles.push(scope.spawn(move || {
-                let _obs = obs_session.as_ref().map(|s| s.install());
-                // Worker slot t owns timeline tid t+1 (0 = coordinator).
-                let mut buf = pluto_obs::trace::RingBuf::for_thread(t as u32 + 1);
-                if let Some(b) = buf.as_mut() {
-                    b.begin(name, &[("items", my_items.len() as u64)]);
-                }
-                // Chunk timing is gated with tracing/profiling: the
-                // disabled path never reads the clock.
-                let started = measure.then(std::time::Instant::now);
-                let mut mem = RawMem { ptrs };
-                let mut st = ExecStats::default();
-                let mut sc = Scratch::new();
-                sc.suppressed = suppressed;
-                for &(x, y) in my_items {
-                    my_vals[outer_var] = x;
-                    if let Some(iv) = inner_var {
-                        my_vals[iv] = y;
-                    }
-                    exec(body, &mut my_vals, ctx, &mut mem, &mut sc, &mut st);
-                }
-                let chunk_ns = started.map_or(0, |s| s.elapsed().as_nanos());
-                if let Some(mut b) = buf {
-                    b.end(name, &[("instances", st.instances)]);
-                    b.submit();
-                }
-                (st, chunk_ns)
-            }));
-        }
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("worker panicked"))
-            .collect::<Vec<_>>()
-    });
-    let mut chunk_ns = Vec::new();
-    let mut instances = Vec::new();
-    let mut team_total = 0u64;
-    for (r, ns) in results {
-        team_total += r.instances;
-        if measure {
-            chunk_ns.push(ns);
-            instances.push(r.instances);
-        }
-        stats.merge(r);
-    }
-    // Workers counted into locals; flush the team's total to the global
-    // counter once per dispatch — same discipline as the simplex hot
-    // loop — and remember it so the run's epilogue doesn't recount.
-    pluto_obs::counters::MACHINE_INSTANCES.add(team_total);
-    tel.flushed += team_total;
-    if let Some(mut b) = coord {
-        b.end(name, &[("instances", team_total)]);
-        b.submit();
-    }
-    if measure {
-        let d = pluto_obs::exec::Dispatch {
-            name: l.name.clone(),
-            items: items.len() as u64,
-            chunk_ns,
-            instances,
-        };
-        if let Some(v) = tel.dispatches.as_deref_mut() {
-            v.push(d.clone());
-        }
-        pluto_obs::exec::record_dispatch(d);
-    }
-}
-
-/// Access history of one cell inside a parallel region:
-/// `(last writer iteration, one reader iteration, multiple-distinct-reader
-/// flag)`.
-type CellHistory = (Option<Int>, Option<Int>, bool);
-
-/// One parallel loop currently being executed by the sanitizer.
-struct SanFrame {
-    /// Display name of the loop (for reports).
-    name: String,
-    /// Iteration value currently executing.
-    current: Int,
-    /// Per-cell access history within this parallel region, keyed by
-    /// `(array, offset)`.
-    cells: std::collections::HashMap<(usize, usize), CellHistory>,
-}
-
-/// Sanitizing memory backend: every access is checked against the access
-/// history of every *active* parallel loop before reaching the arrays.
-struct SanMem<'a> {
-    arrays: &'a mut Arrays,
-    frames: &'a mut Vec<SanFrame>,
-    violations: &'a mut Vec<String>,
-}
-
-impl SanMem<'_> {
-    fn record(&mut self, a: usize, off: usize, is_write: bool) {
-        for f in self.frames.iter_mut() {
-            let cell = f.cells.entry((a, off)).or_insert((None, None, false));
-            let x = f.current;
-            if is_write {
-                if let Some(w) = cell.0 {
-                    if w != x && self.violations.len() < 8 {
-                        self.violations.push(format!(
-                            "write-write race on array {a} offset {off}: iterations {w} and \
-                             {x} of parallel loop `{}` both write it",
-                            f.name
-                        ));
-                    }
-                }
-                let reader_conflict = match (cell.1, cell.2) {
-                    (_, true) => true,
-                    (Some(r), _) => r != x,
-                    (None, _) => false,
-                };
-                if reader_conflict && self.violations.len() < 8 {
-                    self.violations.push(format!(
-                        "read-write race on array {a} offset {off}: iteration {x} of parallel \
-                         loop `{}` writes a cell another iteration reads",
-                        f.name
-                    ));
-                }
-                cell.0 = Some(x);
-            } else {
-                if let Some(w) = cell.0 {
-                    if w != x && self.violations.len() < 8 {
-                        self.violations.push(format!(
-                            "read-write race on array {a} offset {off}: iteration {x} of \
-                             parallel loop `{}` reads a cell iteration {w} writes",
-                            f.name
-                        ));
-                    }
-                }
-                match cell.1 {
-                    None => cell.1 = Some(x),
-                    Some(r) if r != x => cell.2 = true,
-                    Some(_) => {}
-                }
-            }
-        }
-    }
-}
-
-impl Mem for SanMem<'_> {
-    #[inline]
-    fn load(&mut self, a: usize, off: usize, _addr: u64) -> f64 {
-        self.record(a, off, false);
-        self.arrays.load(a, off)
-    }
-    #[inline]
-    fn store(&mut self, a: usize, off: usize, _addr: u64, v: f64) {
-        self.record(a, off, true);
-        self.arrays.store(a, off, v);
-    }
-}
-
-/// Sanitizer walker: sequential program order, but every loop marked
-/// `parallel` opens a fresh access-history frame, and every memory access
-/// is checked for cross-iteration conflicts against all open frames.
-#[allow(clippy::too_many_arguments)]
-fn exec_san(
-    ast: &Ast,
-    vals: &mut [Int],
-    ctx: &Ctx,
-    arrays: &mut Arrays,
-    frames: &mut Vec<SanFrame>,
-    violations: &mut Vec<String>,
-    sc: &mut Scratch,
-    stats: &mut ExecStats,
-) {
-    match ast {
-        Ast::Seq(v) => {
-            for a in v {
-                exec_san(a, vals, ctx, arrays, frames, violations, sc, stats);
-            }
-        }
-        Ast::Loop(l) => {
-            let lb = l.lb.eval_lower(vals);
-            let ub = l.ub.eval_upper(vals);
-            if l.parallel {
-                stats.parallel_regions += 1;
-                frames.push(SanFrame {
-                    name: l.name.clone(),
-                    current: lb,
-                    cells: std::collections::HashMap::new(),
-                });
-            }
-            let depth = frames.len();
-            let mut x = lb;
-            while x <= ub {
-                vals[l.var] = x;
-                if l.parallel {
-                    frames[depth - 1].current = x;
-                }
-                exec_san(&l.body, vals, ctx, arrays, frames, violations, sc, stats);
-                x += 1;
-            }
-            if l.parallel {
-                frames.pop();
-            }
-        }
-        Ast::Let {
-            var, expr, body, ..
-        } => {
-            vals[*var] = expr.eval_floor(vals);
-            exec_san(body, vals, ctx, arrays, frames, violations, sc, stats);
-        }
-        Ast::Guard { conds, body } => {
-            if conds.iter().all(|c| c.holds(vals)) {
-                exec_san(body, vals, ctx, arrays, frames, violations, sc, stats);
-            }
-        }
-        Ast::Filter { stmt, conds, body } => {
-            let pass = conds.iter().all(|c| c.holds(vals));
-            if !pass {
-                sc.suppressed[*stmt] += 1;
-            }
-            exec_san(body, vals, ctx, arrays, frames, violations, sc, stats);
-            if !pass {
-                sc.suppressed[*stmt] -= 1;
-            }
-        }
-        Ast::Stmt { stmt, orig_dims } => {
-            if sc.suppressed[*stmt] == 0 {
-                let mut mem = SanMem {
-                    arrays,
-                    frames,
-                    violations,
-                };
-                run_stmt(*stmt, orig_dims, vals, ctx, &mut mem, sc, stats);
-            }
-        }
-    }
-}
-
-/// Runs the AST sequentially while *sanitizing* its parallel markers:
-/// inside every loop marked `parallel`, per-iteration read and write sets
-/// are recorded and checked for cross-iteration write-write and
-/// read-write overlap — the dynamic counterpart of the static `PL001`
-/// race check. Results in the arrays are identical to
-/// [`run_sequential`].
-///
-/// # Errors
-/// Returns the recorded race reports (capped at 8) if any loop marked
-/// parallel has conflicting iterations at the executed parameters.
-pub fn run_sanitized(
-    prog: &Program,
-    ast: &Ast,
-    params: &[i64],
-    arrays: &mut Arrays,
-) -> Result<ExecStats, Vec<String>> {
-    let _span = pluto_obs::span("execute/sanitized");
-    let ctx = Ctx::new(prog, params, arrays);
-    let mut vals = vec![0; ast.num_vars().max(params.len())];
-    for (k, &p) in params.iter().enumerate() {
-        vals[k] = p as Int;
-    }
-    let mut stats = ExecStats::default();
-    let mut sc = Scratch::with_stmts(prog.stmts.len());
-    let mut frames = Vec::new();
-    let mut violations = Vec::new();
-    exec_san(
-        ast,
-        &mut vals,
-        &ctx,
-        arrays,
-        &mut frames,
-        &mut violations,
-        &mut sc,
-        &mut stats,
-    );
-    pluto_obs::counters::MACHINE_INSTANCES.add(stats.instances);
-    if violations.is_empty() {
-        Ok(stats)
-    } else {
-        Err(violations)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testutil::scale_program;
     use pluto_codegen::{generate, original_schedule};
-    use pluto_ir::{ProgramBuilder, StatementSpec};
-
-    /// `for i in 0..N { b[i] = 2 * a[i] }`
-    fn scale_program() -> Program {
-        let mut b = ProgramBuilder::new("scale", &["N"]);
-        b.add_context_ineq(vec![1, -1]);
-        b.add_array("a", 1);
-        b.add_array("b", 1);
-        b.add_statement(StatementSpec {
-            name: "S1".into(),
-            iters: vec!["i".into()],
-            domain_ineqs: vec![vec![1, 0, 0], vec![-1, 1, -1]],
-            beta: vec![0, 0],
-            write: ("b".into(), vec![vec![1, 0, 0]]),
-            reads: vec![("a".into(), vec![vec![1, 0, 0]])],
-            body: Expr::Lit(2.0) * Expr::Read(0),
-        });
-        b.build()
-    }
 
     #[test]
     fn sequential_scale() {
@@ -911,100 +210,5 @@ mod tests {
         for i in 0..8 {
             assert_eq!(arrays.load(1, i), 2.0 * i as f64);
         }
-    }
-
-    #[test]
-    fn cache_run_counts_accesses() {
-        let prog = scale_program();
-        let ast = generate(&prog, &original_schedule(&prog));
-        let mut arrays = Arrays::new(vec![vec![64], vec![64]]);
-        let (stats, cs) = run_with_cache(&prog, &ast, &[64], &mut arrays, CacheConfig::default());
-        assert_eq!(stats.instances, 64);
-        assert_eq!(cs.accesses, 128); // one read + one write per instance
-        assert!(cs.l1_misses >= 16); // 2 arrays x 8 lines
-    }
-
-    #[test]
-    fn parallel_matches_sequential() {
-        let prog = scale_program();
-        let mut t = original_schedule(&prog);
-        // Mark the i-loop parallel (it trivially is).
-        t.rows[1].par = pluto::Parallelism::Parallel;
-        for sp in t.stmt_par.iter_mut() {
-            sp[1] = pluto::Parallelism::Parallel;
-        }
-        let ast = generate(&prog, &t);
-        let mut seq = Arrays::new(vec![vec![100], vec![100]]);
-        seq.seed_with(|a, o| (a * 7 + o) as f64);
-        let mut par = seq.clone();
-        run_sequential(&prog, &ast, &[100], &mut seq);
-        let stats = run_parallel_scoped(
-            &prog,
-            &ast,
-            &[100],
-            &mut par,
-            ParallelConfig {
-                threads: 4,
-                collapse: 1,
-            },
-        );
-        assert!(seq.bitwise_eq(&par));
-        assert_eq!(stats.parallel_regions, 1);
-        assert_eq!(stats.instances, 100);
-    }
-
-    #[test]
-    fn sanitizer_accepts_truly_parallel_loop() {
-        let prog = scale_program();
-        let mut t = original_schedule(&prog);
-        t.rows[1].par = pluto::Parallelism::Parallel;
-        for sp in t.stmt_par.iter_mut() {
-            sp[1] = pluto::Parallelism::Parallel;
-        }
-        let ast = generate(&prog, &t);
-        let mut arrays = Arrays::new(vec![vec![32], vec![32]]);
-        arrays.seed_with(|a, o| (a + o) as f64);
-        let mut reference = arrays.clone();
-        let stats = run_sanitized(&prog, &ast, &[32], &mut arrays).expect("no races");
-        assert_eq!(stats.instances, 32);
-        assert_eq!(stats.parallel_regions, 1);
-        run_sequential(&prog, &ast, &[32], &mut reference);
-        assert!(arrays.bitwise_eq(&reference));
-    }
-
-    /// `for i in 0..N { b[0] = b[0] + a[i] }` — a reduction; marking the
-    /// i-loop parallel is a race the sanitizer must report.
-    #[test]
-    fn sanitizer_flags_forced_parallel_reduction() {
-        let mut b = ProgramBuilder::new("reduce", &["N"]);
-        b.add_context_ineq(vec![1, -1]);
-        b.add_array("a", 1);
-        b.add_array("b", 1);
-        b.add_statement(StatementSpec {
-            name: "S1".into(),
-            iters: vec!["i".into()],
-            domain_ineqs: vec![vec![1, 0, 0], vec![-1, 1, -1]],
-            beta: vec![0, 0],
-            write: ("b".into(), vec![vec![0, 0, 0]]),
-            reads: vec![
-                ("b".into(), vec![vec![0, 0, 0]]),
-                ("a".into(), vec![vec![1, 0, 0]]),
-            ],
-            body: Expr::Read(0) + Expr::Read(1),
-        });
-        let prog = b.build();
-        let mut t = original_schedule(&prog);
-        t.rows[1].par = pluto::Parallelism::Parallel;
-        for sp in t.stmt_par.iter_mut() {
-            sp[1] = pluto::Parallelism::Parallel;
-        }
-        let ast = generate(&prog, &t);
-        let mut arrays = Arrays::new(vec![vec![16], vec![1]]);
-        arrays.seed_with(|_, o| o as f64);
-        let violations = run_sanitized(&prog, &ast, &[16], &mut arrays).unwrap_err();
-        assert!(
-            violations.iter().any(|v| v.contains("race")),
-            "expected race reports, got {violations:?}"
-        );
     }
 }

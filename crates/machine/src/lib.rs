@@ -5,27 +5,34 @@
 //! on real hardware. We instead *execute the generated loop ASTs
 //! directly*:
 //!
-//! * [`run_sequential`] — a deterministic interpreter over dense `f64`
-//!   arrays; used both as the correctness oracle (original vs transformed
-//!   programs must produce bitwise-identical arrays, since legality
-//!   preserves each statement instance's inputs and per-instance flop
-//!   order) and for wall-clock locality measurements;
-//! * [`run_parallel`] — real multi-threaded execution over a persistent
-//!   worker [`pool`] of condvar-parked threads: the OpenMP `parallel
-//!   for` of the paper maps to a chunked dynamically-scheduled team per
-//!   parallel loop entry (the dispatching thread participates as member
-//!   0), with the paper's coarse-grained tile-schedule semantics (one
-//!   implicit barrier per outer sequential iteration). The loop AST is
-//!   lowered once to flat bytecode with precomputed affine access
-//!   strides ([`compile_kernel`]) instead of being re-walked per
-//!   instance; [`run_parallel_scoped`] keeps the legacy
-//!   spawn-per-dispatch scoped-thread tree-walk as the differential
-//!   reference;
-//! * [`run_with_cache`] — the same interpretation with every array access
-//!   driven through a two-level set-associative write-allocate [`CacheSim`]
-//!   (default geometry mirrors the paper's machine: 32 KB 8-way L1,
-//!   4 MB 16-way L2, 64-byte lines), producing the locality metrics behind
-//!   the single-core speedups of Figs. 6, 8, 10.
+//! * one production engine: the loop AST is lowered once to flat
+//!   bytecode with precomputed affine access strides
+//!   ([`compile_kernel`]) and interpreted by a single loop that is
+//!   generic over the memory it touches and over what a `parallel` loop
+//!   header means. Its instantiations are the public run modes:
+//!   [`run_compiled_kernel`] (plain arrays, markers ignored; the engine
+//!   behind wall-clock locality measurements), [`run_parallel`] (real
+//!   multi-threaded execution over a persistent worker [`pool`] of
+//!   condvar-parked threads: the OpenMP `parallel for` of the paper maps
+//!   to a chunked dynamically-scheduled team per parallel loop entry,
+//!   the dispatching thread participating as member 0, with one implicit
+//!   barrier per outer sequential iteration), [`run_with_cache`] (every
+//!   access driven through a two-level set-associative write-allocate
+//!   [`CacheSim`] — default geometry mirrors the paper's machine: 32 KB
+//!   8-way L1, 4 MB 16-way L2, 64-byte lines — producing the locality
+//!   metrics behind the single-core speedups of Figs. 6, 8, 10) and
+//!   [`run_sanitized`] (per-iteration read/write sets recorded inside
+//!   every parallel loop; the dynamic race check);
+//! * [`run_sequential`] — the reference evaluator: a deterministic
+//!   recursive walk of the AST that shares nothing with the bytecode
+//!   compiler and asserts every subscript against its extent. It is the
+//!   correctness oracle (original vs transformed programs must produce
+//!   bitwise-identical arrays, since legality preserves each statement
+//!   instance's inputs and per-instance flop order) and what the engine
+//!   itself is differentially tested against;
+//! * [`simulate`] — the cycle model of the simulated quad-core, a
+//!   separate AST walk because it charges costs (unroll chunks,
+//!   short-circuited guards) the bytecode does not represent.
 //!
 //! The substrate is also the *producer* side of the runtime-telemetry
 //! story (`pluto_obs::trace` / `pluto_obs::exec`): when a profile
@@ -46,21 +53,22 @@ mod exec;
 mod interp;
 mod mem;
 pub mod pool;
+mod sanitize;
 mod simulate;
+#[cfg(test)]
+mod testutil;
 
 pub use arrays::Arrays;
-pub use cache::{CacheConfig, CacheSim, CacheStats};
+pub use cache::{run_with_cache, run_with_cache_attributed, CacheConfig, CacheSim, CacheStats};
 pub use compile::{
     compile_kernel, compile_kernel_with_extents, BodyOp, CAccess, CAff, CBound, CCond, CStmt,
     CompiledKernel, Instr, LeafOrigin, LoopOrigin, Provenance,
 };
 pub use exec::{
     chunk_len, chunk_plan, run_compiled, run_compiled_kernel, run_compiled_parallel,
-    run_compiled_parallel_profiled, run_parallel, run_parallel_profiled, CHUNKS_PER_MEMBER,
-    MIN_ITEMS_TO_ENLIST,
+    run_compiled_parallel_profiled, run_parallel, run_parallel_profiled, ExecStats, ParallelConfig,
+    CHUNKS_PER_MEMBER, MIN_ITEMS_TO_ENLIST,
 };
-pub use interp::{
-    run_parallel_scoped, run_parallel_scoped_profiled, run_sanitized, run_sequential,
-    run_with_cache, run_with_cache_attributed, ExecStats, ParallelConfig,
-};
+pub use interp::run_sequential;
+pub use sanitize::run_sanitized;
 pub use simulate::{simulate, MachineConfig, SimStats};

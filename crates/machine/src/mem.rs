@@ -1,12 +1,14 @@
-//! Memory backends shared by the tree-walk interpreter and the compiled
-//! executor.
+//! Memory backends of the bytecode engine. A backend sees every access as
+//! `(array, flat offset)` — the one thing a compiled leaf computes — and
+//! derives whatever else it needs (a simulated address, a race history)
+//! from that pair.
 
 use crate::arrays::Arrays;
 
 /// Abstraction over the different memory backends.
 pub(crate) trait Mem {
-    fn load(&mut self, a: usize, off: usize, addr: u64) -> f64;
-    fn store(&mut self, a: usize, off: usize, addr: u64, v: f64);
+    fn load(&mut self, a: usize, off: usize) -> f64;
+    fn store(&mut self, a: usize, off: usize, v: f64);
 }
 
 /// Plain single-threaded backend over the owned arrays.
@@ -14,11 +16,11 @@ pub(crate) struct Direct<'a>(pub &'a mut Arrays);
 
 impl Mem for Direct<'_> {
     #[inline]
-    fn load(&mut self, a: usize, off: usize, _addr: u64) -> f64 {
+    fn load(&mut self, a: usize, off: usize) -> f64 {
         self.0.load(a, off)
     }
     #[inline]
-    fn store(&mut self, a: usize, off: usize, _addr: u64, v: f64) {
+    fn store(&mut self, a: usize, off: usize, v: f64) {
         self.0.store(a, off, v);
     }
 }
@@ -41,11 +43,11 @@ unsafe impl Sync for SendPtr {}
 
 impl Mem for RawMem<'_> {
     #[inline]
-    fn load(&mut self, a: usize, off: usize, _addr: u64) -> f64 {
+    fn load(&mut self, a: usize, off: usize) -> f64 {
         unsafe { *self.ptrs[a].0.add(off) }
     }
     #[inline]
-    fn store(&mut self, a: usize, off: usize, _addr: u64, v: f64) {
+    fn store(&mut self, a: usize, off: usize, v: f64) {
         unsafe { *self.ptrs[a].0.add(off) = v }
     }
 }

@@ -20,7 +20,7 @@
 
 use crate::arrays::Arrays;
 use crate::cache::{CacheConfig, CacheSim, CacheStats};
-use crate::interp::ExecStats;
+use crate::exec::ExecStats;
 use pluto_codegen::Ast;
 use pluto_ir::{Expr, Program};
 use pluto_linalg::Int;
@@ -129,11 +129,14 @@ struct Machine<'p> {
     cfg: MachineConfig,
     stmts: Vec<SimStmt>,
     extents: Vec<Vec<usize>>,
-    bases: Vec<u64>,
     params: Vec<Int>,
     prog: &'p Program,
     /// Per-statement suppression depth from enclosing `Filter` nodes.
     suppressed: Vec<u32>,
+    /// Inside a parallel region (nested parallel loops run inline).
+    in_region: bool,
+    /// Parallel regions entered (barriers).
+    regions: u64,
 }
 
 struct SimStmt {
@@ -160,13 +163,6 @@ impl<'p> Machine<'p> {
         let extents: Vec<Vec<usize>> = (0..arrays.num_arrays())
             .map(|a| arrays.extents(a).to_vec())
             .collect();
-        let mut bases = Vec::with_capacity(extents.len());
-        let mut next = 0u64;
-        for e in &extents {
-            bases.push(next);
-            let len: usize = e.iter().product::<usize>().max(1);
-            next += (len as u64 * 8).div_ceil(64) * 64;
-        }
         Machine {
             cores: (0..cfg.cores.max(1))
                 .map(|_| Core {
@@ -178,9 +174,10 @@ impl<'p> Machine<'p> {
             cfg,
             stmts,
             extents,
-            bases,
             params: params.iter().map(|&p| p as Int).collect(),
             suppressed: vec![0; prog.stmts.len()],
+            in_region: false,
+            regions: 0,
             prog,
         }
     }
@@ -220,7 +217,7 @@ impl<'p> Machine<'p> {
                 off = off * e + s as usize;
             }
             let before = c.sim.stats;
-            c.sim.access(self.bases[*a] + off as u64 * 8);
+            c.sim.access(arrays.address(*a, off));
             cycles += 1
                 + self.cfg.l1_penalty * (c.sim.stats.l1_misses - before.l1_misses)
                 + self.cfg.l2_penalty * (c.sim.stats.l2_misses - before.l2_misses);
@@ -239,7 +236,7 @@ impl<'p> Machine<'p> {
             off = off * e + s as usize;
         }
         let before = c.sim.stats;
-        c.sim.access(self.bases[a] + off as u64 * 8);
+        c.sim.access(arrays.address(a, off));
         cycles += 1
             + self.cfg.l1_penalty * (c.sim.stats.l1_misses - before.l1_misses)
             + self.cfg.l2_penalty * (c.sim.stats.l2_misses - before.l2_misses);
@@ -249,7 +246,8 @@ impl<'p> Machine<'p> {
         c.exec.flops += info.flops;
     }
 
-    /// Sequential execution of a subtree on one core.
+    /// Executes a subtree on one core: core 0 outside a region (where a
+    /// parallel loop opens one), core `t` for its share inside.
     fn exec_on(&mut self, core: usize, ast: &Ast, vals: &mut [Int], arrays: &mut Arrays) {
         match ast {
             Ast::Seq(v) => {
@@ -257,10 +255,21 @@ impl<'p> Machine<'p> {
                     self.exec_on(core, a, vals, arrays);
                 }
             }
+            Ast::Loop(l) if l.parallel && !self.in_region && self.cfg.cores > 1 => {
+                self.region(l, vals, arrays);
+                self.regions += 1;
+            }
             Ast::Loop(l) => {
                 let lb = l.lb.eval_lower(vals);
                 let ub = l.ub.eval_upper(vals);
-                let step = l.unroll.max(1) as Int;
+                // Unroll chunks amortize loop overhead on the cores of a
+                // region only; outside one every iteration pays it (kept
+                // as modelled: the committed figure tables pin both).
+                let step = if self.in_region {
+                    l.unroll.max(1) as Int
+                } else {
+                    1
+                };
                 let mut x = lb;
                 while x <= ub {
                     // Loop overhead is paid once per (unrolled) chunk.
@@ -320,74 +329,6 @@ impl<'p> Machine<'p> {
         }
     }
 
-    /// Top-level walk: dispatches parallel loops across cores.
-    fn exec_top(&mut self, ast: &Ast, vals: &mut [Int], arrays: &mut Arrays, regions: &mut u64) {
-        match ast {
-            Ast::Seq(v) => {
-                for a in v {
-                    self.exec_top(a, vals, arrays, regions);
-                }
-            }
-            Ast::Loop(l) if l.parallel && self.cfg.cores > 1 => {
-                self.region(l, vals, arrays);
-                *regions += 1;
-            }
-            Ast::Loop(l) => {
-                let lb = l.lb.eval_lower(vals);
-                let ub = l.ub.eval_upper(vals);
-                let mut x = lb;
-                while x <= ub {
-                    self.cores[0].cycles += self.cfg.loop_overhead;
-                    vals[l.var] = x;
-                    self.exec_top(&l.body, vals, arrays, regions);
-                    x += 1;
-                }
-            }
-            Ast::Let {
-                var, expr, body, ..
-            } => {
-                self.cores[0].cycles += self.cfg.let_overhead;
-                vals[*var] = expr.eval_floor(vals);
-                self.exec_top(body, vals, arrays, regions);
-            }
-            Ast::Guard { conds, body } => {
-                let mut ok = true;
-                for c in conds {
-                    self.cores[0].cycles += self.cfg.guard_overhead;
-                    if !c.holds(vals) {
-                        ok = false;
-                        break;
-                    }
-                }
-                if ok {
-                    self.exec_top(body, vals, arrays, regions);
-                }
-            }
-            Ast::Filter { stmt, conds, body } => {
-                let mut pass = true;
-                for c in conds {
-                    self.cores[0].cycles += self.cfg.guard_overhead;
-                    if !c.holds(vals) {
-                        pass = false;
-                        break;
-                    }
-                }
-                if !pass {
-                    self.suppressed[*stmt] += 1;
-                }
-                self.exec_top(body, vals, arrays, regions);
-                if !pass {
-                    self.suppressed[*stmt] -= 1;
-                }
-            }
-            Ast::Stmt { stmt, orig_dims } => {
-                if self.suppressed[*stmt] == 0 {
-                    self.run_stmt(0, *stmt, orig_dims, vals, arrays);
-                }
-            }
-        }
-    }
-
     /// One parallel region: block-distribute iterations, run each core's
     /// share in core order, advance global time by the slowest core plus a
     /// barrier.
@@ -429,6 +370,7 @@ impl<'p> Machine<'p> {
         let start: Vec<u64> = self.cores.iter().map(|c| c.cycles).collect();
         let miss_start: u64 = self.cores.iter().map(|c| c.sim.stats.l2_misses).sum();
         let mut deltas = vec![0u64; ncores];
+        self.in_region = true;
         for t in 0..ncores {
             let lo = items.len() * t / ncores;
             let hi = items.len() * (t + 1) / ncores;
@@ -442,6 +384,7 @@ impl<'p> Machine<'p> {
             }
             deltas[t] = self.cores[t].cycles - start[t];
         }
+        self.in_region = false;
         // The region takes the slowest core's time, but no less than the
         // shared bus needs to transfer every line missed in the region.
         let miss_total: u64 = self
@@ -479,8 +422,8 @@ pub fn simulate(
     for (k, &p) in params.iter().enumerate() {
         vals[k] = p as Int;
     }
-    let mut regions = 0;
-    m.exec_top(ast, &mut vals, arrays, &mut regions);
+    m.exec_on(0, ast, &mut vals, arrays);
+    let regions = m.regions;
     let mut exec = ExecStats::default();
     let mut cache = CacheStats::default();
     let mut cycles = 0;
@@ -505,25 +448,8 @@ pub fn simulate(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testutil::{forced_parallel, scale_program};
     use pluto_codegen::{generate, original_schedule};
-    use pluto_ir::{ProgramBuilder, StatementSpec};
-
-    fn scale_program() -> Program {
-        let mut b = ProgramBuilder::new("scale", &["N"]);
-        b.add_context_ineq(vec![1, -1]);
-        b.add_array("a", 1);
-        b.add_array("b", 1);
-        b.add_statement(StatementSpec {
-            name: "S1".into(),
-            iters: vec!["i".into()],
-            domain_ineqs: vec![vec![1, 0, 0], vec![-1, 1, -1]],
-            beta: vec![0, 0],
-            write: ("b".into(), vec![vec![1, 0, 0]]),
-            reads: vec![("a".into(), vec![vec![1, 0, 0]])],
-            body: Expr::Lit(2.0) * Expr::Read(0),
-        });
-        b.build()
-    }
 
     #[test]
     fn sequential_simulation_counts() {
@@ -542,12 +468,7 @@ mod tests {
     #[test]
     fn parallel_simulation_speeds_up() {
         let prog = scale_program();
-        let mut t = original_schedule(&prog);
-        t.rows[1].par = pluto::Parallelism::Parallel;
-        for sp in t.stmt_par.iter_mut() {
-            sp[1] = pluto::Parallelism::Parallel;
-        }
-        let ast = generate(&prog, &t);
+        let ast = forced_parallel(&prog);
         let n = 200_000i64;
         let mut a1 = Arrays::new(vec![vec![n as usize], vec![n as usize]]);
         let mut a4 = a1.clone();
@@ -577,37 +498,18 @@ mod tests {
 #[cfg(test)]
 mod model_tests {
     use super::*;
+    use crate::testutil::{forced_parallel, scale_program};
     use pluto_codegen::{generate, original_schedule};
-    use pluto_ir::{ProgramBuilder, StatementSpec};
 
     /// Streaming kernel: every access misses (array >> caches).
     fn streaming() -> (Program, usize) {
-        let n = 200_000usize;
-        let mut b = ProgramBuilder::new("stream", &["N"]);
-        b.add_context_ineq(vec![1, -1]);
-        b.add_array("a", 1);
-        b.add_array("b", 1);
-        b.add_statement(StatementSpec {
-            name: "S1".into(),
-            iters: vec!["i".into()],
-            domain_ineqs: vec![vec![1, 0, 0], vec![-1, 1, -1]],
-            beta: vec![0, 0],
-            write: ("b".into(), vec![vec![1, 0, 0]]),
-            reads: vec![("a".into(), vec![vec![1, 0, 0]])],
-            body: Expr::Lit(2.0) * Expr::Read(0),
-        });
-        (b.build(), n)
+        (scale_program(), 200_000)
     }
 
     #[test]
     fn bus_bound_limits_memory_bound_scaling() {
         let (prog, n) = streaming();
-        let mut t = original_schedule(&prog);
-        t.rows[1].par = pluto::Parallelism::Parallel;
-        for sp in t.stmt_par.iter_mut() {
-            sp[1] = pluto::Parallelism::Parallel;
-        }
-        let ast = generate(&prog, &t);
+        let ast = forced_parallel(&prog);
         let mk = |cores, bus| {
             let mut arrays = Arrays::new(vec![vec![n], vec![n]]);
             let mut cfg = MachineConfig::default().with_cores(cores);

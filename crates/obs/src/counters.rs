@@ -158,8 +158,8 @@ registry! {
     SCC_CUTS => "core.scc_cuts";
     /// Loop nests emitted by codegen (`codegen::generate`).
     CODEGEN_LOOPS => "codegen.loops";
-    /// Statement instances executed by the machine substrate's
-    /// interpreter (sequential, parallel, and sanitized runs).
+    /// Statement instances executed by the machine substrate
+    /// (reference evaluator, bytecode engine, cycle model).
     MACHINE_INSTANCES => "machine.instances";
     /// Compiled accesses symbolically re-expanded and compared against
     /// their IR access matrices by the bytecode verifier

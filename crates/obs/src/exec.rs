@@ -37,9 +37,8 @@ pub struct Dispatch {
     /// once each).
     pub items: u64,
     /// Per-member chunk wall time, nanoseconds; length = team width.
-    /// With the pooled engine, index 0 is the coordinator and 1.. are
-    /// the enlisted worker slots; with the legacy scoped engine every
-    /// index is a spawned worker.
+    /// Index 0 is the coordinator and 1.. are the enlisted worker
+    /// slots.
     pub chunk_ns: Vec<u128>,
     /// Per-member statement instances executed; same indexing.
     pub instances: Vec<u64>,
@@ -121,8 +120,7 @@ pub struct ExecProfile {
     /// Widest thread team observed.
     pub threads: usize,
     /// Statement instances per team-member slot, summed over
-    /// dispatches (pooled engine: index 0 = coordinator, 1.. = pool
-    /// worker slots; legacy scoped engine: index t = spawned worker t).
+    /// dispatches (index 0 = coordinator, 1.. = pool worker slots).
     pub instances_per_thread: Vec<u64>,
     /// Dispatch-duration-weighted mean of per-dispatch
     /// [`imbalance`](Dispatch::imbalance) ratios (1.0 = balanced).

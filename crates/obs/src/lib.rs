@@ -82,9 +82,9 @@
 //! even on panic), and every recording primitive resolves the current
 //! thread's session. Worker threads inherit the dispatching thread's
 //! session — the persistent pool (`pluto-pool`) re-installs the
-//! dispatcher's handle around each job, and the scoped engine does the
-//! same around its spawns — so spans, chunk timings, and counters from a
-//! parallel region land in the compile that dispatched it. Concurrent
+//! dispatcher's handle around each job — so spans, chunk timings, and
+//! counters from a parallel region land in the compile that dispatched
+//! it. Concurrent
 //! compiles on different threads each install their own session and
 //! observe fully isolated telemetry (`tests/concurrent_compiles.rs`
 //! pins this); profiles are diagnostic data, never inputs to compilation

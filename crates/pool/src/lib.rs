@@ -2,8 +2,8 @@
 //! parallel dependence analyzer.
 //!
 //! The paper's OpenMP runtime keeps one thread team alive for the whole
-//! program; the old scoped-thread engine instead paid a spawn + join per
-//! parallel-loop entry — 755 spawn rounds on the jacobi-1d bench. This
+//! program; a team spawned per parallel-loop entry would pay a spawn +
+//! join each time — 755 spawn rounds on the jacobi-1d bench. This
 //! crate provides one process-wide [`ThreadPool`] (re-exported as
 //! `pluto_machine::pool` for the executor, used directly by `pluto_ir`'s
 //! parallel dependence tests — `ir` sits below `machine` in the crate

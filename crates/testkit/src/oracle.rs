@@ -12,18 +12,19 @@
 //! statement instance's inputs and the per-instance flop order; any
 //! divergence at all is a transformation or codegen bug.
 //!
-//! The fully-optimized variant additionally runs through all four
-//! execution engines — tree-walk sequential (the reference), compiled
-//! bytecode sequential, legacy scoped-thread parallel, and the
-//! persistent-pool compiled parallel engine behind [`run_parallel`] —
-//! and every pairing must agree bit-exactly. That four-way battery is
-//! what proves the pool + kernel-compiler rework (DESIGN.md §9)
-//! equivalent to the reference interpreter on every fuzz kernel.
+//! The fully-optimized variant additionally runs through the engine
+//! battery — the tree-walk reference evaluator against the bytecode
+//! engine, sequentially ([`run_compiled`]) and on the persistent pool
+//! ([`run_parallel`], collapse 2) — and both must agree with the
+//! reference bit-exactly. That battery is what proves the one production
+//! engine (DESIGN.md §10) equivalent to the reference on every fuzz
+//! kernel.
 //!
 //! On top of the dynamic checks, the fully-optimized variant is pushed
 //! through the `pluto_analyze` static verifier (race detector, bounds
-//! prover, lints) and the interpreter's parallel-marker sanitizer — a
-//! static-vs-dynamic differential: the static prover and the runtime
+//! prover, lints) and the engine's parallel-marker sanitizer
+//! ([`run_sanitized`], the same bytecode over a recording memory
+//! backend) — a static-vs-dynamic differential: the static prover and the runtime
 //! recorder must *both* find every parallel loop race-free.
 //!
 //! The search and the fully-optimized apply also run under decision
@@ -49,8 +50,7 @@ use pluto_codegen::{generate, original_schedule};
 use pluto_ir::{analyze_dependences, analyze_dependences_with, DepAnalysisOptions};
 use pluto_linalg::Int;
 use pluto_machine::{
-    run_compiled, run_parallel, run_parallel_scoped, run_sanitized, run_sequential, Arrays,
-    ParallelConfig,
+    run_compiled, run_parallel, run_sanitized, run_sequential, Arrays, ParallelConfig,
 };
 
 /// Which optimizer configurations the oracle exercises.
@@ -198,24 +198,15 @@ pub fn check_kernel(k: &BuiltKernel, cfg: &OracleConfig) -> Result<(), String> {
         threads: cfg.threads,
         collapse: 2,
     };
-    // The four-way engine battery on the fully-optimized AST: compiled
-    // sequential, scoped tree-walk parallel, and pooled compiled
-    // parallel must each match the tree-walk sequential reference
-    // bit-exactly (`run_seq("full")` above covered the reference
-    // engine itself).
+    // The engine battery on the fully-optimized AST: compiled
+    // sequential and pooled compiled parallel must each match the
+    // tree-walk reference bit-exactly (`run_seq("full")` above covered
+    // the reference evaluator itself).
     let mut compiled = fresh_arrays(k);
     run_compiled(prog, &ast, &k.params, &mut compiled);
     if !compiled.bitwise_eq(&reference) {
         return Err(format!(
             "full: compiled sequential execution diverges from original\n{}",
-            full.result.transform.display(prog)
-        ));
-    }
-    let mut scoped = fresh_arrays(k);
-    run_parallel_scoped(prog, &ast, &k.params, &mut scoped, pcfg);
-    if !scoped.bitwise_eq(&reference) {
-        return Err(format!(
-            "full: scoped parallel execution diverges from original\n{}",
             full.result.transform.display(prog)
         ));
     }
@@ -363,7 +354,7 @@ pub fn check_kernel(k: &BuiltKernel, cfg: &OracleConfig) -> Result<(), String> {
         cold?;
     }
 
-    // Dynamic gate: the sanitizer re-executes the same AST recording
+    // Dynamic gate: the sanitizer re-executes the same bytecode recording
     // per-iteration read/write sets inside every parallel loop; it must
     // agree with the static verdict (and still produce bit-exact state).
     let mut san = fresh_arrays(k);
@@ -378,7 +369,7 @@ pub fn check_kernel(k: &BuiltKernel, cfg: &OracleConfig) -> Result<(), String> {
         }
         Err(violations) => {
             return Err(format!(
-                "full: interpreter sanitizer found races:\n  {}\n{}",
+                "full: sanitizer found races:\n  {}\n{}",
                 violations.join("\n  "),
                 full.result.transform.display(prog)
             ));

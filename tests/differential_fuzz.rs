@@ -2,11 +2,10 @@
 //! pushed through dependence analysis → hyperplane search → tiling →
 //! wavefront → codegen, then executed (sequentially, tiled, and with the
 //! wavefront thread team) and compared bit-exactly against the original
-//! program order. The fully-optimized AST runs through all four
-//! execution engines — tree-walk sequential, compiled bytecode
-//! sequential, legacy scoped-thread parallel, and the persistent-pool
-//! compiled parallel engine — so every fuzz kernel is also a
-//! differential proof of the pool + kernel-compiler rework. Every
+//! program order. The fully-optimized AST runs on the tree-walk
+//! reference evaluator and on the bytecode engine — sequentially, on the
+//! persistent pool, and under the sanitizer backend — so every fuzz
+//! kernel is also a differential proof of the engine. Every
 //! emitted untiled transformation additionally passes the independent
 //! `validate_legality` audit.
 //!

@@ -3,7 +3,9 @@
 //! through tile + wavefront and execute bit-exactly on the persistent
 //! pool at every team width, the global pool never spawns after warm-up,
 //! trace timelines use only stable slot tids, and jacobi-1d's dynamic
-//! chunking holds the load-imbalance acceptance bound.
+//! chunking holds the load-imbalance acceptance bound. The cache run on
+//! the same engine reproduces the per-array counts the tree-walk cache
+//! run produced before it was retired.
 //!
 //! Tracing is session-scoped (each test that wants a trace installs its
 //! own `ObsSession`), so the tests run fully parallel; the one
@@ -16,7 +18,7 @@ use pluto_codegen::{generate, original_schedule};
 use pluto_frontend::kernels::{self, Kernel};
 use pluto_machine::{
     compile_kernel, pool, run_compiled_parallel, run_parallel, run_parallel_profiled,
-    run_sequential, Arrays, ParallelConfig,
+    run_sequential, run_with_cache_attributed, Arrays, CacheConfig, ParallelConfig,
 };
 
 /// The widest team any test in this binary dispatches.
@@ -194,4 +196,77 @@ fn jacobi_imbalance_bounded() {
         profile.imbalance_max
     );
     assert!(profile.imbalance_mean <= profile.imbalance_max);
+}
+
+/// Per-array `(name, accesses, l1_misses, l2_misses)` of
+/// `run_with_cache_attributed`, recorded at commit 527d8fc from the
+/// tree-walk cache run (since deleted) at the geometry below: kernel,
+/// parameters, counts on the original schedule, counts on the tile-8
+/// wavefront schedule.
+type ArrayCounts = &'static [(&'static str, u64, u64, u64)];
+type CacheGolden = (fn() -> Kernel, &'static [i64], ArrayCounts, ArrayCounts);
+const CACHE_GOLDEN: &[CacheGolden] = &[
+    (
+        kernels::jacobi_1d_imperfect,
+        &[12, 160],
+        &[("a", 7536, 480, 20), ("b", 3768, 480, 20)],
+        &[("a", 7536, 20, 20), ("b", 3768, 20, 20)],
+    ),
+    (
+        kernels::seidel_2d,
+        &[6, 36],
+        &[("a", 41616, 972, 972)],
+        &[("a", 41616, 1326, 162)],
+    ),
+    (
+        kernels::lu,
+        &[28],
+        &[("a", 28854, 1117, 98)],
+        &[("a", 28854, 1034, 98)],
+    ),
+];
+
+/// The cache simulation must see the access stream the tree walk fed
+/// it — same cells, same order, same simulated addresses — now that it
+/// rides the compiled kernel: any reordering of a leaf's reads and
+/// write, or any change to the address layout, moves these counts.
+#[test]
+fn cache_run_reproduces_tree_walk_counts() {
+    // Small enough that the debug-build sizes overflow both levels.
+    let geometry = CacheConfig {
+        line: 64,
+        l1_size: 1024,
+        l1_assoc: 2,
+        l2_size: 8 * 1024,
+        l2_assoc: 4,
+    };
+    for &(kernel, params, original, tiled) in CACHE_GOLDEN {
+        let k = kernel();
+        let name = &k.program.name;
+        let optimized = Optimizer::new().tile_size(8).optimize(&k.program).unwrap();
+        for (label, transform, expect) in [
+            ("original", original_schedule(&k.program), original),
+            ("tiled", optimized.result.transform, tiled),
+        ] {
+            let ast = generate(&k.program, &transform);
+            let mut arrays = Arrays::new((k.extents)(params));
+            arrays.seed_with(kernels::seed_value);
+            let (_, totals, per) =
+                run_with_cache_attributed(&k.program, &ast, params, &mut arrays, geometry);
+            let got: Vec<(&str, u64, u64, u64)> = per
+                .iter()
+                .map(|(n, s)| (n.as_str(), s.accesses, s.l1_misses, s.l2_misses))
+                .collect();
+            assert_eq!(got, expect, "{name} {label}");
+            assert_eq!(
+                totals.accesses,
+                expect.iter().map(|e| e.1).sum::<u64>(),
+                "{name} {label}: totals"
+            );
+            assert!(
+                arrays.bitwise_eq(&reference(&k, params)),
+                "{name} {label}: simulated run diverged"
+            );
+        }
+    }
 }
