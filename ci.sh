@@ -2,9 +2,10 @@
 # Hermetic CI gate: lint + format + rustdoc checks, offline release
 # build, full offline test suite, the 200-kernel fixed-seed differential
 # fuzz run, a bench_json smoke run with BENCH_*.json schema checks, a
-# bench_diff perf-regression gate against the committed baselines, a
-# smoke run of the repo benchmark's kernel_exec workload (the only build
-# of benchmark/ against the workspace crates), a
+# bench_diff perf-regression gate against the committed baselines,
+# smoke runs of the repo benchmark's kernel_exec, cold_compile and
+# service_mix workloads (the only build of benchmark/ against the
+# workspace crates), a plutoc option-validation gate, a
 # concurrent-compile isolation smoke (per-session telemetry), a plutod
 # daemon smoke (cache hits + the stats aggregation invariant re-derived
 # from the wire documents), and a trace-schema smoke run of
@@ -68,7 +69,7 @@ if ./target/release/bench_diff \
     exit 1
 fi
 
-echo "== benchmark smoke: benchmark/ builds against these crates; kernel_exec verifies =="
+echo "== benchmark smoke: benchmark/ builds against these crates; workloads verify =="
 # benchmark/ is its own workspace, so the `--workspace` build above never
 # compiles benchmark/src/layers.rs — the one file that calls the
 # library — against the crates as they are now. kernel_exec is the
@@ -79,6 +80,22 @@ for trace in 0 1; do
         | tail -n 1 > /tmp/pluto-ci-benchmark.json
     grep -q '"failed": 0,' /tmp/pluto-ci-benchmark.json
 done
+# cold_compile and service_mix drive plutoc and plutod — the two front
+# ends over the one compile path (src/compile.rs) — and require their C
+# byte-equal across passes and to each other.
+for workload in cold_compile service_mix; do
+    bash benchmark/run.sh --smoke --workload "$workload" --trace 0 \
+        | tail -n 1 > /tmp/pluto-ci-benchmark.json
+    grep -q '"failed": 0,' /tmp/pluto-ci-benchmark.json
+done
+
+echo "== option validation: plutoc --tile 0 is a typed error, not a panic =="
+if ./target/release/plutoc --tile 0 examples/matmul.c \
+    > /dev/null 2> /tmp/pluto-ci-tile0.err \
+    || grep -q panicked /tmp/pluto-ci-tile0.err; then
+    echo "plutoc --tile 0 must exit non-zero without panicking" >&2
+    exit 1
+fi
 
 echo "== pooled-executor smoke: plutoc --threads 4 --profile --trace on seidel-2d =="
 # --trace triggers a real execution through the persistent-pool compiled

@@ -129,44 +129,41 @@ impl Optimizer {
         self
     }
 
+    /// Dependence analysis as configured (input deps, pruning, team
+    /// width), under a `deps` span. A caller that acts on the dependences
+    /// before the search — the daemon probes its schedule cache — calls
+    /// this, then [`optimize_with_deps`](Optimizer::optimize_with_deps).
+    pub fn dependences(&self, prog: &Program) -> Vec<Dependence> {
+        let _s = pluto_obs::span("deps");
+        let options = DepAnalysisOptions {
+            include_input: self.options.use_input_deps,
+            prune: self.dep_pruning,
+            threads: self.dep_threads,
+        };
+        analyze_dependences_with(prog, &options)
+    }
+
     /// Runs the full pipeline on a program.
     ///
     /// # Errors
     /// Propagates [`PlutoError`] from the search.
     pub fn optimize(&self, prog: &Program) -> Result<Optimized, PlutoError> {
-        let _span = pluto_obs::span("optimize");
-        let deps = {
-            let _s = pluto_obs::span("deps");
-            analyze_dependences_with(
-                prog,
-                &DepAnalysisOptions {
-                    include_input: self.options.use_input_deps,
-                    prune: self.dep_pruning,
-                    threads: self.dep_threads,
-                },
-            )
-        };
-        let res = {
-            let _s = pluto_obs::span("search");
-            find_transformation(prog, &deps, &self.options)?
-        };
-        Ok(self.apply(prog, deps, res))
+        self.optimize_with_deps(prog, None)
     }
 
-    /// [`optimize`] with caller-supplied dependences — the libpluto-style
-    /// entry where the embedder owns dependence analysis (or replays a
-    /// cached dependence set) and this crate only searches and applies.
+    /// [`optimize`](Optimizer::optimize) on the caller's dependences —
+    /// from [`dependences`](Optimizer::dependences) or a replayed cache;
+    /// `None` analyses them here, inside the `optimize` span.
     ///
     /// # Errors
     /// Propagates [`PlutoError`] from the search.
-    ///
-    /// [`optimize`]: Optimizer::optimize
     pub fn optimize_with_deps(
         &self,
         prog: &Program,
-        deps: Vec<Dependence>,
+        deps: Option<Vec<Dependence>>,
     ) -> Result<Optimized, PlutoError> {
         let _span = pluto_obs::span("optimize");
+        let deps = deps.unwrap_or_else(|| self.dependences(prog));
         let res = {
             let _s = pluto_obs::span("search");
             find_transformation(prog, &deps, &self.options)?

@@ -570,7 +570,7 @@ impl Drop for SpanGuard {
 /// enlists on its behalf) and ends at [`finish`](Session::finish). Two
 /// threads each holding a `Session` record independently. In-tree entry
 /// points that start one: `plutoc --profile[-json]`,
-/// `pluto_repro::pipeline::compile_audited`, and the bench harness's
+/// `pluto_repro::pluto_schedule`, and the bench harness's
 /// `BENCH_pipeline.json` emission.
 pub struct Session {
     obs: ObsSession,

@@ -7,9 +7,10 @@
 //! ```
 
 use pluto::Optimizer;
-use pluto_codegen::{emit_c, generate, original_schedule};
+use pluto_codegen::{generate, original_schedule};
 use pluto_frontend::kernels;
 use pluto_machine::{run_sequential, Arrays};
+use pluto_repro::pluto_schedule;
 
 fn main() {
     // The paper's flagship example: imperfectly nested 1-d Jacobi (Fig. 3).
@@ -18,19 +19,17 @@ fn main() {
     println!("input program:\n{prog}");
 
     // Full pipeline: dependence analysis, ILP hyperplane search, tiling,
-    // tile-space wavefront, vectorization reorder.
-    let optimized = Optimizer::new()
-        .tile_size(32)
-        .optimize(prog)
+    // tile-space wavefront, vectorization reorder, code generation.
+    let out = pluto_schedule(prog, None, &Optimizer::new().tile_size(32), None)
         .expect("jacobi transforms");
     println!(
         "transformation found:\n{}",
-        optimized.result.transform.display(prog)
+        out.compiled.optimized.transform().display(prog)
     );
 
-    // Generate and show the OpenMP C (cf. the paper's Fig. 3(d)).
-    let ast = generate(prog, &optimized.result.transform);
-    println!("generated code:\n{}", emit_c(prog, &ast));
+    // Show the OpenMP C (cf. the paper's Fig. 3(d)).
+    println!("generated code:\n{}", out.code);
+    let ast = &out.compiled.ast;
 
     // Execute both versions and compare bitwise.
     let params = [20i64, 500]; // T, N
@@ -41,7 +40,7 @@ fn main() {
 
     let mut transformed = Arrays::new((kernel.extents)(&params));
     transformed.seed_with(kernels::seed_value);
-    let st2 = run_sequential(prog, &ast, &params, &mut transformed);
+    let st2 = run_sequential(prog, ast, &params, &mut transformed);
 
     assert_eq!(st.instances, st2.instances);
     assert!(

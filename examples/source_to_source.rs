@@ -6,7 +6,7 @@
 //! ```
 
 use pluto::Optimizer;
-use pluto_codegen::{emit_c, generate};
+use pluto_repro::pluto_schedule;
 
 const SOURCE: &str = "
   // 2-d Gauss-Seidel-style sweep (the paper's Fig. 4 kernel shape).
@@ -21,17 +21,13 @@ fn main() {
     println!("----- input (affine C) -----\n{SOURCE}");
     let prog = pluto_frontend::parse(SOURCE).expect("valid affine source");
 
-    let optimized = Optimizer::new()
-        .tile_size(32)
-        .wavefront_degrees(1)
-        .optimize(&prog)
-        .expect("transformable");
+    let options = Optimizer::new().tile_size(32).wavefront_degrees(1);
+    let out = pluto_schedule(&prog, None, &options, None).expect("transformable");
     println!("----- transformation -----");
-    println!("{}", optimized.result.transform.display(&prog));
+    println!("{}", out.compiled.optimized.transform().display(&prog));
 
-    let ast = generate(&prog, &optimized.result.transform);
     println!("----- output (OpenMP C) -----");
-    println!("{}", emit_c(&prog, &ast));
+    println!("{}", out.code);
     println!(
         "note the tile-space wavefront: the outer tile loop is sequential,\n\
          the inner tile loop carries `#pragma omp parallel for`, and the\n\

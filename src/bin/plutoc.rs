@@ -47,12 +47,13 @@
 //!                     this switch exists for differentials and debugging
 //! ```
 
-use pluto::{FusionPolicy, Optimizer, PlutoOptions};
-use pluto_analyze::{analyze, is_clean, render_json, render_text, AnalysisInput};
-use pluto_codegen::{emit_c, generate, original_schedule, unroll_innermost};
-use pluto_machine::{
-    compile_kernel_with_extents, run_parallel, run_sequential, Arrays, ParallelConfig,
-};
+use pluto::Optimizer;
+use pluto_analyze::{is_clean, render_json, render_text};
+use pluto_codegen::{generate, original_schedule, unroll_innermost};
+use pluto_frontend::ParsedUnit;
+use pluto_machine::{run_parallel, run_sequential, Arrays, ParallelConfig};
+use pluto_obs::json::Json;
+use pluto_repro::compile::{compile, disable_solver_shortcuts, set_option, ExecShape};
 use std::io::Read;
 use std::process::ExitCode;
 
@@ -68,13 +69,7 @@ fn main() -> ExitCode {
 
 fn run() -> Result<ExitCode, String> {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut tile: i128 = 32;
-    let mut l2: Option<i128> = None;
-    let mut do_tile = true;
-    let mut do_parallel = true;
-    let mut fuse = FusionPolicy::Smart;
-    let mut input_deps = true;
-    let mut wavefront = 1usize;
+    let mut opt = Optimizer::new();
     let mut unroll = 1usize;
     let mut show_transform = false;
     let mut do_explain = false;
@@ -92,13 +87,14 @@ fn run() -> Result<ExitCode, String> {
     let mut it = args.into_iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--tile" => tile = parse_num(&a, it.next())?,
-            "--l2" => l2 = Some(parse_num(&a, it.next())?),
-            "--notile" => do_tile = false,
-            "--noparallel" => do_parallel = false,
-            "--nofuse" => fuse = FusionPolicy::NoFuse,
-            "--noinputdeps" => input_deps = false,
-            "--wavefront" => wavefront = parse_num(&a, it.next())? as usize,
+            // The code-changing options, shared with `pluto-rpc/1`.
+            "--tile" | "--l2" | "--wavefront" => {
+                let n = parse_num(&a, it.next())?;
+                set_option(&mut opt, &a[2..], &Json::Number(n as f64))?;
+            }
+            "--notile" | "--noparallel" | "--nofuse" | "--noinputdeps" => {
+                set_option(&mut opt, &a[2..], &Json::Bool(true))?;
+            }
             "--unroll" => unroll = parse_num(&a, it.next())? as usize,
             "--show-transform" => show_transform = true,
             "--explain" => do_explain = true,
@@ -194,39 +190,19 @@ fn run() -> Result<ExitCode, String> {
     let _obs_guard = obs.install();
 
     let unit = pluto_frontend::parse_unit(&source).map_err(|e| e.to_string())?;
-    let prog = unit.program.clone();
+    let prog = &unit.program;
 
-    // One switch governs every compile-time shortcut, so a single
-    // cached-vs-uncached differential covers them all (DESIGN.md §11).
-    pluto_poly::cache::set_enabled(solver_cache);
-    let mut opt = Optimizer::new()
-        .tile_size(tile)
-        .tiling(do_tile)
-        .parallel(do_parallel)
-        .wavefront_degrees(wavefront)
-        .dep_pruning(solver_cache)
-        .dep_threads(if solver_cache { threads } else { 1 })
-        .search_options(PlutoOptions {
-            use_input_deps: input_deps,
-            fuse,
-            warm_start: solver_cache,
-            ..PlutoOptions::default()
-        });
-    if let Some(f) = l2 {
-        opt = opt.second_level(f);
+    opt = opt.dep_threads(threads);
+    if !solver_cache {
+        disable_solver_shortcuts(&mut opt);
     }
-
-    let optimized = opt
-        .optimize(&prog)
-        .map_err(|e| format!("transformation failed: {e}"))?;
-    let decision_log = obs.take_decisions();
-    let ledger = decision_log.ledger(optimized.deps.len());
+    let mut compiled =
+        compile(prog, None, &opt).map_err(|e| format!("transformation failed: {e}"))?;
     if show_transform {
-        eprintln!("{}", optimized.result.transform.display(&prog));
+        eprintln!("{}", compiled.optimized.result.transform.display(prog));
     }
-    let mut ast = generate(&prog, &optimized.result.transform);
     if unroll > 1 {
-        unroll_innermost(&mut ast, unroll);
+        unroll_innermost(&mut compiled.ast, unroll);
     }
 
     let kernel = match path.as_deref() {
@@ -236,61 +212,28 @@ fn run() -> Result<ExitCode, String> {
             .map_or_else(|| p.to_string(), |s| s.to_string_lossy().into_owned()),
     };
 
-    if do_explain {
-        if explain_json {
-            let doc = pluto::explain_json(
-                &prog,
-                &optimized.deps,
-                &optimized.result,
-                &decision_log,
-                Some(&kernel),
-            );
-            pluto_obs::json::parse(&doc)
-                .map_err(|e| format!("--explain-json: emitted document is not valid JSON: {e}"))?;
-            print!("{doc}");
-        } else {
-            eprint!(
-                "{}",
-                pluto::explain(&prog, &optimized.deps, &optimized.result)
-            );
-            eprint!("{}", decision_log.render_text());
-        }
+    if explain_json {
+        let doc = compiled.explain_json(&kernel);
+        pluto_obs::json::parse(&doc)
+            .map_err(|e| format!("--explain-json: emitted document is not valid JSON: {e}"))?;
+        print!("{doc}");
+    } else if do_explain {
+        let optimized = &compiled.optimized;
+        eprint!(
+            "{}",
+            pluto::explain(prog, &optimized.deps, &optimized.result)
+        );
+        eprint!("{}", compiled.decision_log.render_text());
     }
 
     let mut analyzer_failed = false;
     if do_analyze {
-        let _s = pluto_obs::span("analyze");
-        let mut diags = analyze(&AnalysisInput {
-            program: &prog,
-            deps: &optimized.deps,
-            transform: &optimized.result.transform,
-            ast: &ast,
-            extents: Some(unit.extent_rows()),
-            param_values: None,
-            ledger: Some(&ledger),
-        });
-        // Bytecode translation validation needs a concrete execution
-        // shape: take the --verify parameter values when given, else the
-        // same 64-per-parameter default the executor paths use.
-        let bc_params: Vec<i64> = match &verify {
-            Some(v) if v.len() == prog.num_params() => v.clone(),
-            _ => vec![64; prog.num_params()],
-        };
-        match unit.try_extents(&bc_params) {
-            Ok(extents) => {
-                let ck = compile_kernel_with_extents(&prog, &ast, &bc_params, &extents);
-                diags.extend(pluto_analyze::bytecode::check(
-                    &pluto_analyze::bytecode::BytecodeInput {
-                        program: &prog,
-                        transform: &optimized.result.transform,
-                        ast: &ast,
-                        kernel: &ck,
-                    },
-                ));
-                pluto_analyze::sort_diagnostics(&mut diags);
-            }
-            Err(m) => eprintln!("note: bytecode verification skipped: {m}"),
+        // Bytecode translation validation needs a concrete shape.
+        let shape = exec_shape(&unit, verify.as_deref(), "--analyze");
+        if let Err(m) = &shape {
+            eprintln!("note: bytecode verification skipped: {m}");
         }
+        let diags = compiled.audit(Some(unit.extent_rows()), shape.as_ref().ok());
         if analyze_json {
             print!("{}", render_json(&diags));
         } else {
@@ -302,33 +245,20 @@ fn run() -> Result<ExitCode, String> {
     // combined --profile --trace invocation gets the `exec` section of
     // `pluto-profile/3` filled in from the same run.
     if let Some(out_path) = &trace_out {
-        let params: Vec<i64> = match &verify {
-            Some(v) => v.clone(),
-            None => vec![64; prog.num_params()],
-        };
-        if params.len() != prog.num_params() {
-            return Err(format!(
-                "--trace expects {} --verify value(s) for ({})",
-                prog.num_params(),
-                prog.params.join(", ")
-            ));
-        }
-        let extents = unit
-            .try_extents(&params)
-            .map_err(|m| format!("--trace: {m}"))?;
-        let mut arrays = Arrays::new(extents);
+        let shape = exec_shape(&unit, verify.as_deref(), "--trace")?;
+        let mut arrays = Arrays::new(shape.extents);
         arrays.seed_with(pluto_frontend::kernels::seed_value);
         // The trace recorder has been live since before parsing: the
         // document carries the compile-phase spans recorded since, plus
         // this execution.
         run_parallel(
-            &prog,
-            &ast,
-            &params,
+            prog,
+            &compiled.ast,
+            &shape.params,
             &mut arrays,
             ParallelConfig {
                 threads,
-                collapse: wavefront.max(1),
+                collapse: opt.wavefront_degrees,
             },
         );
         let trace = obs.take_trace();
@@ -351,27 +281,18 @@ fn run() -> Result<ExitCode, String> {
         }
     }
     if !analyze_json && !profile_json && !explain_json {
-        print!("{}", emit_c(&prog, &ast));
+        print!("{}", compiled.code());
     }
 
-    if let Some(params) = verify {
-        if params.len() != prog.num_params() {
-            return Err(format!(
-                "--verify expects {} value(s) for ({})",
-                prog.num_params(),
-                prog.params.join(", ")
-            ));
-        }
-        let extents = unit
-            .try_extents(&params)
-            .map_err(|m| format!("--verify: {m}"))?;
-        let mut reference = Arrays::new(extents.clone());
+    if let Some(values) = verify.as_deref() {
+        let shape = exec_shape(&unit, Some(values), "--verify")?;
+        let mut reference = Arrays::new(shape.extents.clone());
         reference.seed_with(pluto_frontend::kernels::seed_value);
-        let orig = generate(&prog, &original_schedule(&prog));
-        let st = run_sequential(&prog, &orig, &params, &mut reference);
-        let mut transformed = Arrays::new(extents);
+        let orig = generate(prog, &original_schedule(prog));
+        let st = run_sequential(prog, &orig, &shape.params, &mut reference);
+        let mut transformed = Arrays::new(shape.extents);
         transformed.seed_with(pluto_frontend::kernels::seed_value);
-        run_sequential(&prog, &ast, &params, &mut transformed);
+        run_sequential(prog, &compiled.ast, &shape.params, &mut transformed);
         if transformed.bitwise_eq(&reference) {
             eprintln!(
                 "plutoc: verified — {} instances, transformed output bitwise-identical",
@@ -386,6 +307,30 @@ fn run() -> Result<ExitCode, String> {
     } else {
         ExitCode::SUCCESS
     })
+}
+
+/// The concrete shape `flag`'s execution runs at: parameter values from
+/// `--verify`, else 64 each, and the array extents they give. Errors
+/// are worded for `flag`.
+fn exec_shape(unit: &ParsedUnit, verify: Option<&[i64]>, flag: &str) -> Result<ExecShape, String> {
+    let prog = &unit.program;
+    let params = verify.map_or_else(|| vec![64; prog.num_params()], <[i64]>::to_vec);
+    if params.len() != prog.num_params() {
+        let values = if flag == "--verify" {
+            "value(s)"
+        } else {
+            "--verify value(s)"
+        };
+        return Err(format!(
+            "{flag} expects {} {values} for ({})",
+            prog.num_params(),
+            prog.params.join(", ")
+        ));
+    }
+    let extents = unit
+        .try_extents(&params)
+        .map_err(|m| format!("{flag}: {m}"))?;
+    Ok(ExecShape { params, extents })
 }
 
 fn parse_num(flag: &str, v: Option<String>) -> Result<i128, String> {

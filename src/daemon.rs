@@ -45,11 +45,10 @@
 //! evictions are visible per-request in `pluto-log/1` and in aggregate
 //! in `pluto-stats/1`.
 
-use pluto::{explain_json, FusionPolicy, Optimizer, PlutoOptions};
-use pluto_codegen::{emit_c, generate};
+use crate::compile::{compile, set_option};
+use pluto::Optimizer;
 use pluto_frontend::parse_unit;
-use pluto_ir::{analyze_dependences_with, DepAnalysisOptions, Dependence, Program};
-use pluto_linalg::Int;
+use pluto_ir::{Dependence, Program};
 use pluto_obs::aggregate::{fnv1a, ServiceMetrics, Snapshot};
 use pluto_obs::json::{self, Json};
 use pluto_obs::{ObsSession, Profile};
@@ -61,156 +60,27 @@ use std::time::Instant;
 /// kernel's generated C and explain report — a few KiB).
 pub const DEFAULT_CACHE_CAP: usize = 1024;
 
-/// The compile options a `pluto-rpc/1` request may set — the subset of
-/// `plutoc`'s flags that changes generated code, under the same names
-/// (`{"tile": 16, "nofuse": true}` ≙ `plutoc --tile 16 --nofuse`).
-/// Requests with the same canonical [`fingerprint`](Self::fingerprint)
-/// share schedule-cache entries.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CompileOptions {
-    /// Tile size on every dimension of every tiled band (`--tile`).
-    pub tile: Int,
-    /// Optional second tiling level factor (`--l2`).
-    pub l2: Option<Int>,
-    /// Tile permutable bands (`--notile` clears it).
-    pub tiling: bool,
-    /// Extract coarse-grained parallelism (`--noparallel` clears it).
-    pub parallel: bool,
-    /// Fusion policy (`--nofuse` selects [`FusionPolicy::NoFuse`]).
-    pub fuse: FusionPolicy,
-    /// Model read-after-read reuse in the cost function (`--noinputdeps`
-    /// clears it).
-    pub input_deps: bool,
-    /// Degrees of pipelined parallelism (`--wavefront`).
-    pub wavefront: usize,
-}
-
-impl Default for CompileOptions {
-    fn default() -> CompileOptions {
-        CompileOptions {
-            tile: 32,
-            l2: None,
-            tiling: true,
-            parallel: true,
-            fuse: FusionPolicy::Smart,
-            input_deps: true,
-            wavefront: 1,
-        }
-    }
-}
-
-impl CompileOptions {
-    /// Reads options from a request's `options` object (`None` — or an
-    /// absent field — means all defaults).
-    ///
-    /// # Errors
-    /// Unknown keys and ill-typed values are errors: a service must not
-    /// silently ignore an option the client believes it set.
-    pub fn from_json(options: Option<&Json>) -> Result<CompileOptions, String> {
-        let mut opts = CompileOptions::default();
-        let Some(v) = options else { return Ok(opts) };
-        if v.is_null() {
-            return Ok(opts);
-        }
-        let Json::Object(fields) = v else {
-            return Err("`options` must be an object".to_string());
-        };
-        for (key, value) in fields {
-            match key.as_str() {
-                "tile" => {
-                    opts.tile = value
-                        .as_u64()
-                        .filter(|&t| t >= 1)
-                        .ok_or("`tile` must be a positive integer")?
-                        as Int;
-                }
-                "l2" => {
-                    opts.l2 = Some(
-                        value
-                            .as_u64()
-                            .filter(|&f| f >= 1)
-                            .ok_or("`l2` must be a positive integer")?
-                            as Int,
-                    );
-                }
-                "notile" => opts.tiling = !read_bool(value, "notile")?,
-                "noparallel" => opts.parallel = !read_bool(value, "noparallel")?,
-                "nofuse" => {
-                    if read_bool(value, "nofuse")? {
-                        opts.fuse = FusionPolicy::NoFuse;
-                    }
-                }
-                "noinputdeps" => opts.input_deps = !read_bool(value, "noinputdeps")?,
-                "wavefront" => {
-                    opts.wavefront = value
-                        .as_u64()
-                        .filter(|&m| m >= 1)
-                        .ok_or("`wavefront` must be a positive integer")?
-                        as usize;
-                }
-                other => return Err(format!("unknown option `{other}`")),
+/// The optimizer a request's `options` object asks for (`None`, `null`
+/// or an absent field mean all defaults): the fields are `plutoc`'s
+/// code-changing flags under the same names (`{"tile": 16, "nofuse":
+/// true}` ≙ `plutoc --tile 16 --nofuse`, see [`set_option`]). Everything
+/// else stays at [`Optimizer::new`]'s defaults — in particular
+/// dependence analysis runs single-threaded with pruning on: the service
+/// keeps per-request counters deterministic (a racing analysis team
+/// makes `ilp.cache_*` scheduling-dependent), and generated code is
+/// bit-identical to `plutoc --threads 1` on the same source.
+fn request_optimizer(options: Option<&Json>) -> Result<Optimizer, String> {
+    let mut opt = Optimizer::new();
+    match options {
+        None | Some(Json::Null) => {}
+        Some(Json::Object(fields)) => {
+            for (name, value) in fields {
+                set_option(&mut opt, name, value)?;
             }
         }
-        Ok(opts)
+        Some(_) => return Err("`options` must be an object".to_string()),
     }
-
-    /// The canonical form of these options — one component of every
-    /// schedule-cache key. Two requests share cached schedules iff their
-    /// fingerprints (and content) match.
-    pub fn fingerprint(&self) -> String {
-        format!(
-            "tile={};l2={:?};tiling={};parallel={};fuse={:?};input_deps={};wavefront={}",
-            self.tile,
-            self.l2,
-            self.tiling,
-            self.parallel,
-            self.fuse,
-            self.input_deps,
-            self.wavefront
-        )
-    }
-
-    /// The equivalent `plutoc` optimizer configuration. Dependence
-    /// analysis runs single-threaded with pruning on: the service keeps
-    /// per-request counters deterministic (a racing analysis team makes
-    /// `ilp.cache_*` scheduling-dependent), and generated code is
-    /// bit-identical to `plutoc --threads 1` on the same source.
-    pub fn optimizer(&self) -> Optimizer {
-        let mut opt = Optimizer::new()
-            .tile_size(self.tile)
-            .tiling(self.tiling)
-            .parallel(self.parallel)
-            .wavefront_degrees(self.wavefront)
-            .dep_pruning(true)
-            .dep_threads(1)
-            .search_options(PlutoOptions {
-                use_input_deps: self.input_deps,
-                fuse: self.fuse,
-                warm_start: true,
-                ..PlutoOptions::default()
-            });
-        if let Some(f) = self.l2 {
-            opt = opt.second_level(f);
-        }
-        opt
-    }
-
-    /// The dependence-analysis options matching [`optimizer`]
-    /// (the daemon analyzes before the search so it can probe the
-    /// content-addressed cache on the result).
-    ///
-    /// [`optimizer`]: Self::optimizer
-    fn dep_options(&self) -> DepAnalysisOptions {
-        DepAnalysisOptions {
-            include_input: self.input_deps,
-            prune: true,
-            threads: 1,
-        }
-    }
-}
-
-fn read_bool(v: &Json, key: &str) -> Result<bool, String> {
-    v.as_bool().ok_or(format!("`{key}` must be a boolean"))
+    Ok(opt)
 }
 
 /// One dependence reduced to its canonical identity: endpoints, kind,
@@ -386,7 +256,7 @@ impl Default for Daemon {
 
 /// What one `compile` produced, before it is shaped into response and
 /// log documents.
-struct Compiled {
+struct Served {
     entry: Arc<Entry>,
     cache_hit: bool,
 }
@@ -491,7 +361,7 @@ impl Daemon {
                 None,
             );
         };
-        let options = match CompileOptions::from_json(request.get("options")) {
+        let optimizer = match request_optimizer(request.get("options")) {
             Ok(o) => o,
             Err(e) => {
                 self.metrics.record_error();
@@ -510,7 +380,7 @@ impl Daemon {
         // belongs to this request alone.
         let obs = ObsSession::builder().profile().decisions().build();
         let guard = obs.install();
-        let served = self.serve(&obs, source, &options);
+        let served = self.serve(source, &optimizer);
         drop(guard);
         let profile = obs.finish_profile();
 
@@ -542,67 +412,43 @@ impl Daemon {
 
     /// The compile itself, under the caller's installed session: probe
     /// the source memo, else parse + analyze and probe the content
-    /// address, else search + generate and populate both levels.
-    fn serve(
-        &self,
-        obs: &ObsSession,
-        source: &str,
-        options: &CompileOptions,
-    ) -> Result<Compiled, String> {
-        let fp = options.fingerprint();
+    /// address, else [`compile`] and populate both levels.
+    fn serve(&self, source: &str, optimizer: &Optimizer) -> Result<Served, String> {
+        // Every knob of the optimizer, by construction: two requests
+        // share cached schedules iff this (and the content) match.
+        let fp = format!("{optimizer:?}");
         let source_key = (source.to_string(), fp.clone());
         {
             let mut cache = self.cache.lock().expect("schedule cache poisoned");
             if let Some(entry) = cache.lookup_source(&source_key) {
-                return Ok(Compiled {
+                return Ok(Served {
                     entry,
                     cache_hit: true,
                 });
             }
         }
-        // parse_unit and generate open their own "parse"/"codegen"
-        // spans; only dependence analysis needs a span here (its usual
-        // "optimize/deps" parent is bypassed so the content probe can
-        // run between analysis and search).
         let unit = parse_unit(source).map_err(|e| e.to_string())?;
         let prog = unit.program;
-        let deps = {
-            let _s = pluto_obs::span("deps");
-            analyze_dependences_with(&prog, &options.dep_options())
-        };
+        let deps = optimizer.dependences(&prog);
         let content = ContentKey::of(&prog, &deps, &fp);
         {
             let mut cache = self.cache.lock().expect("schedule cache poisoned");
             if let Some(entry) = cache.lookup_content(&content) {
                 cache.memoize_source(source_key, &content);
-                return Ok(Compiled {
+                return Ok(Served {
                     entry,
                     cache_hit: true,
                 });
             }
         }
-        let optimized = options
-            .optimizer()
-            .optimize_with_deps(&prog, deps)
+        let compiled = compile(&prog, Some(deps), optimizer)
             .map_err(|e| format!("transformation failed: {e}"))?;
-        let decisions = obs.take_decisions();
-        let code = {
-            let ast = generate(&prog, &optimized.result.transform);
-            emit_c(&prog, &ast)
-        };
-        let explain = explain_json(
-            &prog,
-            &optimized.deps,
-            &optimized.result,
-            &decisions,
-            Some(&prog.name),
-        );
-        let explain = json::parse(&explain)
+        let explain = json::parse(&compiled.explain_json(&prog.name))
             .expect("explain_json emits valid JSON")
             .to_compact();
         let entry = Arc::new(Entry {
             kernel: prog.name.clone(),
-            code,
+            code: compiled.code(),
             explain,
         });
         let evicted = self.cache.lock().expect("schedule cache poisoned").insert(
@@ -613,7 +459,7 @@ impl Daemon {
         if evicted > 0 {
             self.metrics.record_cache_evictions(evicted);
         }
-        Ok(Compiled {
+        Ok(Served {
             entry,
             cache_hit: false,
         })

@@ -12,13 +12,15 @@
 //!   AST and OpenMP C;
 //! * [`analyze`] independently audits the generated program — race
 //!   detection for `parallel` loops, array-bounds proofs, AST lints —
-//!   (see [`pipeline::compile_audited`] for the wired-up flow);
+//!   (wired up as [`compile::Compiled::audit`]);
 //! * [`machine`] executes and measures (threads, caches, simulated
 //!   quad-core);
 //! * [`poly`], [`ilp`] and [`linalg`] are the exact-arithmetic substrates
 //!   standing in for PolyLib and PIP;
 //! * [`obs`] observes it all — phase spans and solver counters surfaced
 //!   as compile profiles (`plutoc --profile`, PERFORMANCE.md);
+//! * [`compile`] is the one spelling of the chain above — `plutoc`,
+//!   `plutod` and [`pluto_schedule`] are adapters over it;
 //! * [`daemon`] serves it all — the long-running `plutod` compile
 //!   service: `pluto-rpc/1` over stdio or a Unix socket, a
 //!   content-addressed schedule cache, and service-level aggregation of
@@ -35,16 +37,17 @@
 //! use pluto_codegen::{generate, original_schedule};
 //! use pluto_frontend::kernels;
 //! use pluto_machine::{run_sequential, Arrays};
+//! use pluto_repro::pluto_schedule;
 //!
 //! let kernel = kernels::matmul();
-//! let optimized = Optimizer::new().tile_size(16).optimize(&kernel.program)?;
-//! let ast = generate(&kernel.program, &optimized.result.transform);
+//! let out = pluto_schedule(&kernel.program, None, &Optimizer::new().tile_size(16), None)?;
+//! assert!(out.code.contains("#pragma omp parallel for"));
 //!
 //! // Execute and check against the untransformed program.
 //! let params = [24i64];
 //! let mut a = Arrays::new((kernel.extents)(&params));
 //! a.seed_with(kernels::seed_value);
-//! run_sequential(&kernel.program, &ast, &params, &mut a);
+//! run_sequential(&kernel.program, &out.compiled.ast, &params, &mut a);
 //!
 //! let mut reference = Arrays::new((kernel.extents)(&params));
 //! reference.seed_with(kernels::seed_value);
@@ -54,13 +57,11 @@
 //! # Ok::<(), pluto::PlutoError>(())
 //! ```
 
+pub mod compile;
 pub mod daemon;
-pub mod pipeline;
 
+pub use compile::{pluto_schedule, Scheduled};
 pub use pluto;
-pub use schedule::{pluto_schedule, Scheduled};
-
-mod schedule;
 pub use pluto_analyze as analyze;
 pub use pluto_codegen as codegen;
 pub use pluto_frontend as frontend;

@@ -7,7 +7,8 @@ use pluto_analyze::{analyze, AnalysisInput, Code, Severity};
 use pluto_codegen::{generate, original_schedule};
 use pluto_frontend::kernels;
 use pluto_ir::analyze_dependences;
-use pluto_repro::pipeline::compile_audited;
+use pluto_repro::compile::Audit;
+use pluto_repro::pluto_schedule;
 
 fn error_codes(diags: &[pluto_analyze::Diagnostic]) -> Vec<Code> {
     diags
@@ -26,10 +27,11 @@ fn sor_and_seidel_wavefront_are_analyzer_clean() {
         ("sor-2d", kernels::sor_2d()),
         ("seidel-2d", kernels::seidel_2d()),
     ] {
-        let compiled = compile_audited(
+        let compiled = pluto_schedule(
             &kernel.program,
-            Optimizer::new().tile_size(8).wavefront_degrees(2),
             None,
+            &Optimizer::new().tile_size(8).wavefront_degrees(2),
+            Some(Audit::default()),
         )
         .unwrap_or_else(|e| panic!("{name}: optimize failed: {e}"));
         assert!(
@@ -55,7 +57,7 @@ fn race_detector_agrees_with_codegen_on_all_kernels() {
                 Optimizer::new().tile_size(8).wavefront_degrees(2),
             ),
         ] {
-            let compiled = compile_audited(&kernel.program, opt, None)
+            let compiled = pluto_schedule(&kernel.program, None, &opt, Some(Audit::default()))
                 .unwrap_or_else(|e| panic!("{name}/{cfg_name}: optimize failed: {e}"));
             let races: Vec<_> = compiled
                 .diagnostics
@@ -185,10 +187,14 @@ fn shrunk_extent_triggers_pl002_with_witness() {
         b[i] = a[i + 1];
     ";
     let unit = pluto_frontend::parse_unit(src).expect("parse");
-    let compiled = compile_audited(
+    let compiled = pluto_schedule(
         &unit.program,
-        Optimizer::new().tiling(false),
-        Some(unit.extent_rows()),
+        None,
+        &Optimizer::new().tiling(false),
+        Some(Audit {
+            extents: Some(unit.extent_rows()),
+            exec: None,
+        }),
     )
     .expect("optimize");
     let oob: Vec<_> = compiled
@@ -215,10 +221,14 @@ fn shrunk_extent_triggers_pl002_with_witness() {
     // Control: with the correct extent the same program proves clean.
     let ok_src = src.replace("array a[N - 1]", "array a[N]");
     let unit_ok = pluto_frontend::parse_unit(&ok_src).expect("parse");
-    let compiled_ok = compile_audited(
+    let compiled_ok = pluto_schedule(
         &unit_ok.program,
-        Optimizer::new().tiling(false),
-        Some(unit_ok.extent_rows()),
+        None,
+        &Optimizer::new().tiling(false),
+        Some(Audit {
+            extents: Some(unit_ok.extent_rows()),
+            exec: None,
+        }),
     )
     .expect("optimize");
     assert!(

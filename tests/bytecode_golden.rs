@@ -11,7 +11,8 @@ use pluto_analyze::{Code, Diagnostic, Severity};
 use pluto_codegen::{generate, original_schedule};
 use pluto_frontend::kernels;
 use pluto_machine::{chunk_plan, compile_kernel_with_extents, BodyOp, CompiledKernel};
-use pluto_repro::pipeline::{compile_audited_exec, ExecShape};
+use pluto_repro::compile::{Audit, ExecShape};
+use pluto_repro::pluto_schedule;
 
 fn error_codes(diags: &[Diagnostic]) -> Vec<Code> {
     diags
@@ -62,22 +63,23 @@ fn library_kernels_bytecode_validate_clean() {
     }
 }
 
-/// The audited pipeline entry point: handing `compile_audited_exec` a
+/// The audited library entry point: handing `pluto_schedule`'s audit a
 /// concrete execution shape must run the bytecode verifier (visible as
 /// the `analyze/bytecode` phase in the profile) and still come out clean
 /// on a known-good kernel.
 #[test]
-fn compile_audited_exec_runs_the_bytecode_verifier() {
+fn audit_with_exec_shape_runs_the_bytecode_verifier() {
     let k = kernels::seidel_2d();
     let params = vec![6i64, 24];
     let extents = (k.extents)(&params);
-    let compiled = compile_audited_exec(
+    let shape = ExecShape { params, extents };
+    let compiled = pluto_schedule(
         &k.program,
-        Optimizer::new().tile_size(8).wavefront_degrees(2),
         None,
-        Some(ExecShape {
-            params: &params,
-            extents: &extents,
+        &Optimizer::new().tile_size(8).wavefront_degrees(2),
+        Some(Audit {
+            extents: None,
+            exec: Some(&shape),
         }),
     )
     .expect("optimize");

@@ -138,3 +138,20 @@ for (i = 0; i < N - 16; i++)
     );
     assert!(!stderr.contains("panicked"), "{stderr}");
 }
+
+/// The code-changing options share one table with `plutod`: an
+/// out-of-range value is that table's typed error, not the tiler's
+/// assertion.
+#[test]
+fn nonpositive_tile_sizes_are_clean_errors() {
+    for (args, message) in [
+        (["--tile", "0"], "`tile` must be a positive integer"),
+        (["--tile", "-4"], "`tile` must be a positive integer"),
+        (["--l2", "0"], "`l2` must be a positive integer"),
+    ] {
+        let (_, stderr, ok) = plutoc(&[args[0], args[1], "-"], SRC);
+        assert!(!ok, "{args:?} must fail");
+        assert!(stderr.contains(message), "{args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+    }
+}

@@ -26,15 +26,7 @@ fn compile(name: &str, prog: &Program) -> (String, String) {
     // session's cache hit/miss counters deterministic: with a worker
     // team, two workers can race to the same canonical key and both
     // miss, which is correct but scheduling-dependent.
-    let obs = pluto_obs::ObsSession::builder()
-        .profile()
-        .decisions()
-        .build();
-    let deps = {
-        let _g = obs.install();
-        pluto_ir::analyze_dependences(prog, true)
-    };
-    let out = pluto_schedule(prog, deps, &Optimizer::new().tile_size(8))
+    let out = pluto_schedule(prog, None, &Optimizer::new().tile_size(8), None)
         .unwrap_or_else(|e| panic!("{name}: compile failed: {e:?}"));
     (
         normalize_profile(&out.profile.to_json(Some(name))),

@@ -169,6 +169,15 @@ const KERNELS: &[(&str, &str)] = &[
 
 /// Builds a `compile` request line for `source` with a numeric id.
 fn compile_request(id: u64, kernel: &str, source: &str) -> String {
+    compile_request_with(id, kernel, source, &[("tile", Json::Number(8.0))])
+}
+
+/// [`compile_request`] with an explicit `options` object.
+fn compile_request_with(id: u64, kernel: &str, source: &str, options: &[(&str, Json)]) -> String {
+    let options = options
+        .iter()
+        .map(|(name, value)| (name.to_string(), value.clone()))
+        .collect();
     Json::Object(vec![
         (
             "schema".to_string(),
@@ -178,10 +187,7 @@ fn compile_request(id: u64, kernel: &str, source: &str) -> String {
         ("method".to_string(), Json::String("compile".to_string())),
         ("kernel".to_string(), Json::String(kernel.to_string())),
         ("source".to_string(), Json::String(source.to_string())),
-        (
-            "options".to_string(),
-            Json::Object(vec![("tile".to_string(), Json::Number(8.0))]),
-        ),
+        ("options".to_string(), Json::Object(options)),
     ])
     .to_compact()
 }
@@ -215,11 +221,12 @@ fn get_u64(doc: &Json, key: &str) -> u64 {
         .unwrap_or_else(|| panic!("`{key}` is not an integer"))
 }
 
-/// The reference compiler: `plutoc --tile 8 --threads 1 -` on the same
+/// The reference compiler: `plutoc <flags> --threads 1 -` on the same
 /// source (single-threaded dependence analysis, like the daemon).
-fn plutoc_reference(source: &str) -> String {
+fn plutoc_reference(flags: &[&str], source: &str) -> String {
     let mut child = Command::new(env!("CARGO_BIN_EXE_plutoc"))
-        .args(["--tile", "8", "--threads", "1", "-"])
+        .args(flags)
+        .args(["--threads", "1", "-"])
         .stdin(Stdio::piped())
         .stdout(Stdio::piped())
         .stderr(Stdio::piped())
@@ -474,6 +481,73 @@ fn warm_repeat_is_an_order_of_magnitude_faster() {
     );
 }
 
+/// `plutoc` flags as the same settings in an rpc `options` object:
+/// `--name n` is `"name": n`, a bare `--name` is `"name": true`.
+fn rpc_options<'f>(flags: &[&'f str]) -> Vec<(&'f str, Json)> {
+    let mut options: Vec<(&str, Json)> = Vec::new();
+    for flag in flags {
+        match flag.strip_prefix("--") {
+            Some(name) => options.push((name, Json::Bool(true))),
+            None => {
+                let last = options.last_mut().expect("a value follows its flag");
+                last.1 = Json::Number(flag.parse().expect("numeric flag value"));
+            }
+        }
+    }
+    options
+}
+
+/// Option parity: the `pluto-rpc/1` `options` object and `plutoc`'s
+/// flags feed one table, so every option — alone and combined — must
+/// give the daemon's C byte-equal to `plutoc`'s, and the schedule-cache
+/// fingerprint (derived from the whole optimizer) must keep requests
+/// that differ in any one option apart.
+#[test]
+fn every_option_matches_plutoc_and_separates_cache_entries() {
+    // Each case as plutoc flags; the first is the all-defaults baseline
+    // every single-option case differs from in exactly that option.
+    let cases: &[&[&str]] = &[
+        &[],
+        &["--tile", "16"],
+        &["--l2", "2"],
+        &["--notile"],
+        &["--noparallel"],
+        &["--nofuse"],
+        &["--noinputdeps"],
+        &["--wavefront", "2"],
+        &["--tile", "16", "--nofuse", "--wavefront", "2"],
+    ];
+    let examples = [
+        ("jacobi-1d", include_str!("../examples/jacobi-1d.c")),
+        ("matmul", include_str!("../examples/matmul.c")),
+        ("seidel-2d", include_str!("../examples/seidel-2d.c")),
+    ];
+    let daemon = Daemon::new();
+    let compile = |flags: &[&str], name: &str, src: &str| {
+        let request = compile_request_with(0, name, src, &rpc_options(flags));
+        harvest(&roundtrip(&daemon, &request).0)
+    };
+    for flags in cases {
+        for (name, src) in examples {
+            let first = compile(flags, name, src);
+            assert_eq!(
+                first.cache, "miss",
+                "`{name}` {flags:?}: shared a cache entry with another option set"
+            );
+            assert_eq!(
+                first.code,
+                plutoc_reference(flags, src),
+                "`{name}`: daemon C differs from plutoc {flags:?}"
+            );
+        }
+    }
+    for flags in cases {
+        for (name, src) in examples {
+            assert_eq!(compile(flags, name, src).cache, "hit", "`{name}` {flags:?}");
+        }
+    }
+}
+
 // ---------------------------------------------------------------------
 // The stress test: N clients, 13 kernels, repeats
 // ---------------------------------------------------------------------
@@ -557,7 +631,7 @@ fn concurrent_stress_aggregation_invariant_and_plutoc_identical() {
         assert_eq!(s.cache, "miss");
         assert_eq!(
             s.code,
-            plutoc_reference(src),
+            plutoc_reference(&["--tile", "8"], src),
             "`{name}`: daemon C differs from plutoc --threads 1"
         );
         served.push(s);

@@ -22,46 +22,32 @@
 //! test pins the same property on the named kernels the benchmarks and
 //! docs talk about.
 
-use pluto::{explain_json, find_transformation, Optimizer, PlutoOptions};
-use pluto_codegen::{emit_c, generate};
+use pluto::Optimizer;
 use pluto_frontend::kernels;
-use pluto_ir::{analyze_dependences_with, DepAnalysisOptions, Program};
+use pluto_ir::Program;
+use pluto_repro::compile::{compile, disable_solver_shortcuts};
 
 /// One full compile at tile size 8 (the plutoc default), returning every
 /// artifact the differential compares: dependence fingerprint, explain
 /// document (transformation + ledger + decision events), and C output.
-fn compile(name: &str, prog: &Program, shortcuts: bool) -> (String, String, String) {
+fn compile_one(name: &str, prog: &Program, shortcuts: bool) -> (String, String, String) {
     // Each compile runs under its own session: its decision log and its
     // emptiness-cache store (and the cache on/off toggle) are private to
     // this call, so cached and uncached compiles can't contaminate each
     // other — or any test running concurrently.
     let obs = pluto_obs::ObsSession::builder().decisions().build();
-    let guard = obs.install();
-    pluto_poly::cache::set_enabled(shortcuts);
-    let deps = analyze_dependences_with(
-        prog,
-        &DepAnalysisOptions {
-            include_input: true,
-            prune: shortcuts,
-            threads: 1,
-        },
-    );
-    let searched = find_transformation(
-        prog,
-        &deps,
-        &PlutoOptions {
-            warm_start: shortcuts,
-            ..PlutoOptions::default()
-        },
-    )
-    .unwrap_or_else(|e| panic!("{name}: search failed (shortcuts={shortcuts}): {e:?}"));
-    let full = Optimizer::new()
-        .tile_size(8)
-        .apply(prog, deps.clone(), searched);
-    drop(guard);
-    let log = obs.take_decisions();
+    let _guard = obs.install();
+    let mut opt = Optimizer::new().tile_size(8);
+    if !shortcuts {
+        // The switch `plutoc --no-solver-cache` throws.
+        disable_solver_shortcuts(&mut opt);
+    }
+    let compiled = compile(prog, None, &opt)
+        .unwrap_or_else(|e| panic!("{name}: search failed (shortcuts={shortcuts}): {e:?}"));
 
-    let dep_fingerprint = deps
+    let dep_fingerprint = compiled
+        .optimized
+        .deps
         .iter()
         .map(|d| {
             format!(
@@ -70,16 +56,18 @@ fn compile(name: &str, prog: &Program, shortcuts: bool) -> (String, String, Stri
             )
         })
         .collect::<String>();
-    let doc = explain_json(prog, &deps, &full.result, &log, Some(name));
-    let ast = generate(prog, &full.result.transform);
-    (dep_fingerprint, doc, emit_c(prog, &ast))
+    (
+        dep_fingerprint,
+        compiled.explain_json(name),
+        compiled.code(),
+    )
 }
 
 #[test]
 fn shortcuts_are_output_invariant_on_all_example_kernels() {
     for (name, k) in kernels::all() {
-        let (deps_on, doc_on, c_on) = compile(name, &k.program, true);
-        let (deps_off, doc_off, c_off) = compile(name, &k.program, false);
+        let (deps_on, doc_on, c_on) = compile_one(name, &k.program, true);
+        let (deps_off, doc_off, c_off) = compile_one(name, &k.program, false);
         assert_eq!(
             deps_on, deps_off,
             "{name}: dependence sets diverge between cached and uncached compiles"

@@ -1,6 +1,6 @@
 //! Golden tests pinning the `pluto-profile/3` schema emitted by
 //! `plutoc --profile-json` and the profile returned by
-//! `compile_audited` — the machine-readable surface PERFORMANCE.md
+//! `pluto_schedule` — the machine-readable surface PERFORMANCE.md
 //! documents and downstream tooling parses. A failure here means the
 //! schema changed: bump the schema string and PERFORMANCE.md together,
 //! never silently. Each version is a strict superset of the previous
@@ -238,12 +238,13 @@ fn v2_consumers_can_read_v3_documents() {
 }
 
 #[test]
-fn compile_audited_returns_a_populated_profile() {
+fn audited_schedule_returns_a_populated_profile() {
     let prog = pluto_repro::frontend::parse(SRC).expect("parses");
-    let compiled = pluto_repro::pipeline::compile_audited(
+    let compiled = pluto_repro::pluto_schedule(
         &prog,
-        pluto_repro::pluto::Optimizer::new().tile_size(8),
         None,
+        &pluto_repro::pluto::Optimizer::new().tile_size(8),
+        Some(pluto_repro::compile::Audit::default()),
     )
     .expect("compiles");
     assert!(compiled.is_clean());
