@@ -3,9 +3,8 @@
 # build, full offline test suite, the 200-kernel fixed-seed differential
 # fuzz run, a bench_json smoke run with BENCH_*.json schema checks, a
 # bench_diff perf-regression gate against the committed baselines,
-# smoke runs of the repo benchmark's kernel_exec, cold_compile and
-# service_mix workloads (the only build of benchmark/ against the
-# workspace crates), a plutoc option-validation gate, a
+# smoke runs of the repo benchmark's four workloads (the only build of
+# benchmark/ against the workspace crates), a plutoc option-validation gate, a
 # concurrent-compile isolation smoke (per-session telemetry), a plutod
 # daemon smoke (cache hits + the stats aggregation invariant re-derived
 # from the wire documents), and a trace-schema smoke run of
@@ -82,8 +81,10 @@ for trace in 0 1; do
 done
 # cold_compile and service_mix drive plutoc and plutod — the two front
 # ends over the one compile path (src/compile.rs) — and require their C
-# byte-equal across passes and to each other.
-for workload in cold_compile service_mix; do
+# byte-equal across passes and to each other. audit_generated is the
+# many-small-ILPs workload: 32 generated sources through
+# plutoc --analyze --verify, the one most exposed to per-solve overhead.
+for workload in cold_compile service_mix audit_generated; do
     bash benchmark/run.sh --smoke --workload "$workload" --trace 0 \
         | tail -n 1 > /tmp/pluto-ci-benchmark.json
     grep -q '"failed": 0,' /tmp/pluto-ci-benchmark.json
@@ -231,21 +232,30 @@ grep -q '"analyze/bytecode"' /tmp/pluto-ci-bytecode-profile.json
 grep -q '"analyze.bytecode_accesses"' /tmp/pluto-ci-bytecode-profile.json
 
 echo "== solver-cache smoke: compile-time shortcuts active + output-invariant =="
-# The speed pass (DESIGN.md §11) must actually fire on the flagship
-# kernel: a default seidel-2d compile reports nonzero emptiness-cache
-# hits and nonzero pruned dependence candidates. And the shortcuts must
-# be switchable off with bit-identical output: --no-solver-cache (cache
-# off, warm-start off, pruning off) emits exactly the same C.
+# The speed passes (DESIGN.md §11) must actually fire: a default
+# seidel-2d compile reports nonzero emptiness-cache hits and nonzero
+# pruned dependence candidates, a default fdtd-2d compile nonzero Farkas
+# memo hits and nonzero rows dropped before the tableau. And the
+# shortcuts must be switchable off with bit-identical output:
+# --no-solver-cache (cache off, warm-start, row deduplication and memo
+# off, pruning off) emits exactly the same C for every benchmark kernel.
 ./target/release/plutoc --tile 8 --profile-json examples/seidel-2d.c \
     > /tmp/pluto-ci-cache-profile.json
 grep -qE '"name": "ilp.cache_hits", "value": [1-9]' \
     /tmp/pluto-ci-cache-profile.json
 grep -qE '"name": "ir.pruned_candidates", "value": [1-9]' \
     /tmp/pluto-ci-cache-profile.json
-./target/release/plutoc --tile 8 examples/seidel-2d.c \
-    > /tmp/pluto-ci-cache-on.c
-./target/release/plutoc --tile 8 --no-solver-cache examples/seidel-2d.c \
-    > /tmp/pluto-ci-cache-off.c
-cmp /tmp/pluto-ci-cache-on.c /tmp/pluto-ci-cache-off.c
+./target/release/plutoc --tile 32 --profile-json benchmark/kernels/fdtd-2d.c \
+    > /tmp/pluto-ci-cache-profile.json
+grep -qE '"name": "core.farkas_memo_hits", "value": [1-9]' \
+    /tmp/pluto-ci-cache-profile.json
+grep -qE '"name": "ilp.rows_dropped", "value": [1-9]' \
+    /tmp/pluto-ci-cache-profile.json
+for kernel in benchmark/kernels/*.c; do
+    ./target/release/plutoc --tile 32 "$kernel" > /tmp/pluto-ci-cache-on.c
+    ./target/release/plutoc --tile 32 --no-solver-cache "$kernel" \
+        > /tmp/pluto-ci-cache-off.c
+    cmp /tmp/pluto-ci-cache-on.c /tmp/pluto-ci-cache-off.c
+done
 
 echo "== ci.sh: all gates passed =="

@@ -242,6 +242,21 @@ pub fn farkas_eliminate(
     form: &SymbolicForm,
     num_unknowns: usize,
 ) -> ConstraintSet {
+    let (out, event) = eliminate(poly, form, num_unknowns);
+    if decision::enabled() {
+        decision::record(event);
+    }
+    out
+}
+
+/// [`farkas_eliminate`] without the recording: returns the eliminated
+/// system together with its `FarkasEliminated` decision event, so a
+/// caller that reuses the system can log the event once per use.
+pub(crate) fn eliminate(
+    poly: &ConstraintSet,
+    form: &SymbolicForm,
+    num_unknowns: usize,
+) -> (ConstraintSet, DecisionEvent) {
     assert_eq!(
         form.len(),
         poly.num_vars() + 1,
@@ -301,15 +316,13 @@ pub fn farkas_eliminate(
     // Eliminate every multiplier column.
     let mut out = sys.project_out(num_unknowns, n_lambda);
     out.dedup();
-    if decision::enabled() {
-        decision::record(DecisionEvent::FarkasEliminated {
-            multipliers: n_lambda,
-            rows_in: nx + 1,
-            eqs_out: out.eqs().len(),
-            ineqs_out: out.ineqs().len(),
-        });
-    }
-    out
+    let event = DecisionEvent::FarkasEliminated {
+        multipliers: n_lambda,
+        rows_in: nx + 1,
+        eqs_out: out.eqs().len(),
+        ineqs_out: out.ineqs().len(),
+    };
+    (out, event)
 }
 
 /// The affine row `φ_dst^r(t) − φ_src^r(s)` over the dependence

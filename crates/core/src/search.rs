@@ -3,9 +3,7 @@
 //! independence, detect permutable bands, and cut the DDG with scalar
 //! dimensions when stuck (fusion structure).
 
-use crate::farkas::{
-    bounding_form, carried_at, delta_form, farkas_eliminate, satisfies_strictly, VarMap,
-};
+use crate::farkas::{bounding_form, carried_at, delta_form, eliminate, satisfies_strictly, VarMap};
 use crate::types::{Band, Parallelism, RowInfo, StmtScattering, Transformation};
 use pluto_ilp::IlpProblem;
 use pluto_ir::{DepKind, Dependence, Program};
@@ -13,7 +11,9 @@ use pluto_linalg::{Int, IntMatrix};
 use pluto_obs::counters;
 use pluto_obs::decision::{self, CutReason, DecisionEvent, RejectReason};
 use pluto_obs::hist;
+use pluto_poly::cache::{key_of, Key};
 use pluto_poly::ConstraintSet;
+use std::collections::HashMap;
 use std::fmt;
 
 /// Fusion policy for DDG cutting (mirrors the Pluto tool's options).
@@ -39,11 +39,14 @@ pub struct PlutoOptions {
     pub fuse: FusionPolicy,
     /// Hard cap on total scattering rows (safety valve).
     pub max_rows: usize,
-    /// Warm-start the per-row lexmin sequence from a once-solved band
-    /// base (DESIGN.md §11). Output-invariant — the integer lexmin is
-    /// unique — so this is a pure speed knob; `--no-solver-cache` turns
-    /// it off for differentials.
-    pub warm_start: bool,
+    /// The search's own shortcuts (DESIGN.md §11, §11f): warm-start the
+    /// per-row lexmin sequence from a once-solved band base, drop
+    /// duplicate and dominated rows of the band's dependence system
+    /// before it reaches the tableau, and memoize Farkas eliminations
+    /// for the lifetime of the search. Output-invariant — the integer
+    /// lexmin is unique — so this is a pure speed knob;
+    /// `--no-solver-cache` turns it off for differentials.
+    pub solver_shortcuts: bool,
 }
 
 impl Default for PlutoOptions {
@@ -52,7 +55,7 @@ impl Default for PlutoOptions {
             use_input_deps: true,
             fuse: FusionPolicy::Smart,
             max_rows: 32,
-            warm_start: true,
+            solver_shortcuts: true,
         }
     }
 }
@@ -118,12 +121,17 @@ struct Search<'a> {
     /// Independent hyperplane iterate-coefficient rows per statement.
     h: Vec<IntMatrix>,
     satisfied_at: Vec<Option<usize>>,
-    /// Cached Farkas systems per dependence: (legality, bounding, reverse).
-    legality_cache: Vec<Option<ConstraintSet>>,
-    bounding_cache: Vec<Option<ConstraintSet>>,
-    reverse_cache: Vec<Option<ConstraintSet>>,
+    /// Every Farkas system eliminated so far, each with the decision
+    /// event of its elimination (replayed when the system is reused).
+    systems: Vec<(ConstraintSet, DecisionEvent)>,
+    /// Per form, per dependence: index into `systems` once built.
+    system_of: [Vec<Option<usize>>; 3],
+    /// `systems` index by what determines an elimination's result. Lives
+    /// and dies with this search; only ever looked up, never iterated,
+    /// so its hash order cannot reach the solver or a document.
+    farkas_memo: HashMap<(FarkasForm, usize, usize, Key), usize>,
     /// Warm-start basis for the current band's dependence system, with
-    /// its inequality-row count (for ledger telemetry). The live
+    /// its assembled inequality-row count (for ledger telemetry). The live
     /// dependence set — and hence the legality + bounding rows — is
     /// constant within a band (`live_in_band` only compares against
     /// `band_start`), so the base is solved once per band and each row's
@@ -155,9 +163,9 @@ impl<'a> Search<'a> {
                 .map(|s| IntMatrix::empty(s.num_iters()))
                 .collect(),
             satisfied_at: vec![None; deps.len()],
-            legality_cache: vec![None; deps.len()],
-            bounding_cache: vec![None; deps.len()],
-            reverse_cache: vec![None; deps.len()],
+            systems: Vec::new(),
+            system_of: std::array::from_fn(|_| vec![None; deps.len()]),
+            farkas_memo: HashMap::new(),
             band_base: None,
             last_ilp_rows: 0,
             last_ilp_cols: 0,
@@ -274,47 +282,108 @@ impl<'a> Search<'a> {
         }
     }
 
+    /// The Farkas-eliminated system of dependence `di` under `form`, as an
+    /// index into `self.systems`: built on first use, or — with shortcuts
+    /// on — shared with an earlier dependence between the same statements
+    /// over the same polyhedron, whose elimination it would repeat row
+    /// for row. A shared system replays the stored decision event, so the
+    /// log reads as if every elimination had run.
+    fn farkas_system(&mut self, di: usize, form: FarkasForm) -> usize {
+        if let Some(idx) = self.system_of[form as usize][di] {
+            return idx;
+        }
+        let dep = &self.deps[di];
+        let key = self
+            .opts
+            .solver_shortcuts
+            .then(|| (form, dep.src, dep.dst, key_of(&dep.poly)));
+        let idx = match key.as_ref().and_then(|k| self.farkas_memo.get(k)) {
+            Some(&idx) => {
+                counters::FARKAS_MEMO_HITS.bump();
+                idx
+            }
+            None => {
+                let (hist, built, symbolic) = match form {
+                    FarkasForm::Legality => (
+                        &hist::LEGALITY,
+                        &counters::LEGALITY_SYSTEMS,
+                        delta_form(dep, self.prog, &self.vm),
+                    ),
+                    FarkasForm::Bounding | FarkasForm::ReverseBounding => (
+                        &hist::BOUNDING,
+                        &counters::BOUNDING_SYSTEMS,
+                        bounding_form(
+                            dep,
+                            self.prog,
+                            &self.vm,
+                            form == FarkasForm::ReverseBounding,
+                        ),
+                    ),
+                };
+                let _t = hist.timer();
+                built.bump();
+                self.systems
+                    .push(eliminate(&dep.poly, &symbolic, self.vm.total()));
+                let idx = self.systems.len() - 1;
+                if let Some(k) = key {
+                    self.farkas_memo.insert(k, idx);
+                }
+                idx
+            }
+        };
+        if decision::enabled() {
+            decision::record(self.systems[idx].1.clone());
+        }
+        self.system_of[form as usize][di] = Some(idx);
+        idx
+    }
+
     /// Assembles the dependence part of the row ILP: legality + bounding
     /// Farkas systems for every dependence live in the current band.
     /// Constant across the rows of one band, which is what makes the
-    /// warm-start base sound to reuse.
-    fn build_dep_ilp(&mut self) -> IlpProblem {
-        let mut ilp = IlpProblem::new(self.vm.total());
+    /// warm-start base sound to reuse. Returns the problem and the number
+    /// of rows assembled; with shortcuts on the problem holds fewer, since
+    /// uniform dependences repeat rows and a row implied by one with the
+    /// same coefficients and a tighter constant cannot move the lexmin.
+    fn build_dep_ilp(&mut self) -> (IlpProblem, usize) {
+        let mut used = Vec::new();
         for di in 0..self.deps.len() {
             if !self.live_in_band(di) {
                 continue;
             }
-            let dep = &self.deps[di];
-            if dep.kind.constrains_legality() {
-                let sys = self.legality_cache[di].get_or_insert_with(|| {
-                    let _t = hist::LEGALITY.timer();
-                    counters::LEGALITY_SYSTEMS.bump();
-                    let form = delta_form(dep, self.prog, &self.vm);
-                    farkas_eliminate(&dep.poly, &form, self.vm.total())
-                });
-                add_system(&mut ilp, sys);
+            let kind = self.deps[di].kind;
+            if kind.constrains_legality() {
+                used.push(self.farkas_system(di, FarkasForm::Legality));
             }
-            if dep.kind == DepKind::Input && !self.opts.use_input_deps {
+            if kind == DepKind::Input && !self.opts.use_input_deps {
                 continue;
             }
-            let bsys = self.bounding_cache[di].get_or_insert_with(|| {
-                let _t = hist::BOUNDING.timer();
-                counters::BOUNDING_SYSTEMS.bump();
-                let form = bounding_form(dep, self.prog, &self.vm, false);
-                farkas_eliminate(&dep.poly, &form, self.vm.total())
-            });
-            add_system(&mut ilp, bsys);
-            if dep.kind == DepKind::Input {
-                let rsys = self.reverse_cache[di].get_or_insert_with(|| {
-                    let _t = hist::BOUNDING.timer();
-                    counters::BOUNDING_SYSTEMS.bump();
-                    let form = bounding_form(dep, self.prog, &self.vm, true);
-                    farkas_eliminate(&dep.poly, &form, self.vm.total())
-                });
-                add_system(&mut ilp, rsys);
+            used.push(self.farkas_system(di, FarkasForm::Bounding));
+            if kind == DepKind::Input {
+                used.push(self.farkas_system(di, FarkasForm::ReverseBounding));
             }
         }
-        ilp
+        let mut band = ConstraintSet::new(self.vm.total());
+        for &idx in &used {
+            let sys = &self.systems[idx].0;
+            for e in sys.eqs() {
+                band.add_ineq(e.clone());
+                band.add_ineq(e.iter().map(|&v| -v).collect());
+            }
+            for i in sys.ineqs() {
+                band.add_ineq(i.clone());
+            }
+        }
+        let assembled = band.ineqs().len();
+        if self.opts.solver_shortcuts {
+            band.prune_dominated();
+            counters::ILP_ROWS_DROPPED.add((assembled - band.ineqs().len()) as u64);
+        }
+        let mut ilp = IlpProblem::new(self.vm.total());
+        for row in band.ineqs() {
+            ilp.add_ineq(row.clone());
+        }
+        (ilp, assembled)
     }
 
     /// Per-statement structure constraints for the current row — the
@@ -376,15 +445,14 @@ impl<'a> Search<'a> {
         let (extras, orth) = self.structure_rows();
         self.last_ilp_cols = self.vm.total();
         self.last_orth = orth;
-        let sol = if self.opts.warm_start {
+        let sol = if self.opts.solver_shortcuts {
             // Solve the band's dependence system once; every row of the
             // band (this one included) extends that basis with its own
             // structure rows. Bit-identical to the cold path: the same
             // rows reach the solver and the integer lexmin is unique.
             let reused = self.band_base.is_some();
             if !reused {
-                let ilp = self.build_dep_ilp();
-                let base_rows = ilp.num_ineqs();
+                let (ilp, base_rows) = self.build_dep_ilp();
                 let base = {
                     let _t = hist::SEARCH_ROW.timer();
                     ilp.solve_base()
@@ -420,11 +488,11 @@ impl<'a> Search<'a> {
             };
             res.ok().flatten()
         } else {
-            let mut ilp = self.build_dep_ilp();
+            let (mut ilp, base_rows) = self.build_dep_ilp();
             for row in &extras {
                 ilp.add_ineq(row.clone());
             }
-            self.last_ilp_rows = ilp.num_ineqs();
+            self.last_ilp_rows = base_rows + extras.len();
             let _t = hist::SEARCH_ROW.timer();
             ilp.try_lexmin().ok().flatten()
         };
@@ -647,13 +715,13 @@ impl<'a> Search<'a> {
     }
 }
 
-fn add_system(ilp: &mut IlpProblem, sys: &ConstraintSet) {
-    for e in sys.eqs() {
-        ilp.add_eq(e.clone());
-    }
-    for i in sys.ineqs() {
-        ilp.add_ineq(i.clone());
-    }
+/// Which affine form a Farkas system linearizes (paper Eqs. 3, 4 and the
+/// lower bound input dependences add, Sec. 4.1).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+enum FarkasForm {
+    Legality,
+    Bounding,
+    ReverseBounding,
 }
 
 /// Condensation of a digraph: returns for each node the index of its SCC in
@@ -821,7 +889,7 @@ mod policy_tests {
             &prog,
             &deps,
             &PlutoOptions {
-                warm_start: false,
+                solver_shortcuts: false,
                 ..PlutoOptions::default()
             },
         )
@@ -833,6 +901,62 @@ mod policy_tests {
         for (a, b) in warm.transform.rows.iter().zip(&cold.transform.rows) {
             assert_eq!((a.kind, a.par), (b.kind, b.par));
         }
+    }
+
+    /// `a[i] = a[i-1] + a[i-1]`: the two reads give every dependence a
+    /// twin over the same polyhedron, so the memo must hit, rows must
+    /// repeat — and the decision log must read as if neither happened.
+    #[test]
+    fn memo_hits_replay_their_decision_event() {
+        let mut b = ProgramBuilder::new("scan2", &["N"]);
+        b.add_context_ineq(vec![1, -3]);
+        b.add_array("a", 1);
+        b.add_statement(StatementSpec {
+            name: "S1".into(),
+            iters: vec!["i".into()],
+            domain_ineqs: vec![vec![1, 0, -1], vec![-1, 1, -1]],
+            beta: vec![0, 0],
+            write: ("a".into(), vec![vec![1, 0, 0]]),
+            reads: vec![
+                ("a".into(), vec![vec![1, 0, -1]]),
+                ("a".into(), vec![vec![1, 0, -1]]),
+            ],
+            body: Expr::Read(0),
+        });
+        let prog = b.build();
+        let deps = analyze_dependences(&prog, true);
+        let run = |solver_shortcuts: bool| {
+            let obs = pluto_obs::ObsSession::builder()
+                .profile()
+                .decisions()
+                .build();
+            let _guard = obs.install();
+            let opts = PlutoOptions {
+                solver_shortcuts,
+                ..PlutoOptions::default()
+            };
+            let res = find_transformation(&prog, &deps, &opts).unwrap();
+            let hits = counters::FARKAS_MEMO_HITS.get();
+            let dropped = counters::ILP_ROWS_DROPPED.get();
+            let built = counters::LEGALITY_SYSTEMS.get() + counters::BOUNDING_SYSTEMS.get();
+            (
+                res.transform.stmts[0].rows.clone(),
+                obs.take_decisions().events,
+                hits,
+                dropped,
+                built,
+            )
+        };
+        let (rows_on, events_on, hits, dropped, built_on) = run(true);
+        let (rows_off, events_off, no_hits, none_dropped, built_off) = run(false);
+        assert!(
+            hits > 0 && dropped > 0,
+            "{hits} memo hits, {dropped} rows dropped"
+        );
+        assert_eq!((no_hits, none_dropped), (0, 0));
+        assert_eq!(built_on + hits, built_off);
+        assert_eq!(rows_on, rows_off);
+        assert_eq!(events_on, events_off);
     }
 
     #[test]

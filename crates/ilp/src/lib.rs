@@ -88,7 +88,27 @@ mod brute {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pluto_linalg::Int;
+    use pluto_obs::{counters, ObsSession};
     use testkit::Rng;
+
+    /// `rows` with four redundant rows spliced in at seeded positions: an
+    /// exact duplicate, the ×2 and ×3 multiples, and a dominated row (same
+    /// coefficients, looser constant) — each of a seeded original. None
+    /// changes the feasible set, so none may change the lexmin.
+    fn with_redundant_rows(rng: &mut Rng, rows: &[Vec<Int>]) -> Vec<Vec<Int>> {
+        let mut out = rows.to_vec();
+        for kind in 0..4 {
+            let mut row = rng.choose(rows).clone();
+            match kind {
+                0 => {}
+                1 | 2 => row.iter_mut().for_each(|v| *v *= kind + 1),
+                _ => *row.last_mut().unwrap() += rng.range_i64(1, 4) as Int,
+            }
+            out.insert(rng.range_usize(0, out.len()), row);
+        }
+        out
+    }
 
     #[test]
     fn simple_lexmin() {
@@ -156,6 +176,7 @@ mod tests {
         // cold solve over the union gives — on feasible, integer-cut,
         // and infeasible extensions alike.
         let mut rng = Rng::new(0x5EED_BA5E);
+        let mut redundant = Rng::new(0x5EED_D0B1);
         for case in 0..300 {
             let n = rng.range_usize(1, 4);
             let base_rows = rng.range_usize(1, 4);
@@ -165,9 +186,10 @@ mod tests {
                 r.push(rng.range_i64(-6, 6) as i128);
                 r
             };
+            let base_vec: Vec<Vec<i128>> = (0..base_rows).map(|_| row(&mut rng)).collect();
             let mut base = IlpProblem::new(n);
-            for _ in 0..base_rows {
-                base.add_ineq(row(&mut rng));
+            for r in &base_vec {
+                base.add_ineq(r.clone());
             }
             let extra: Vec<Vec<i128>> = (0..extra_rows).map(|_| row(&mut rng)).collect();
             let mut cold = base.clone();
@@ -175,11 +197,29 @@ mod tests {
                 cold.add_ineq(e.clone());
             }
             let warm = base.solve_base().expect("base within budget");
+            let want = cold.try_lexmin().expect("cold within budget");
             assert_eq!(
                 warm.lexmin_with(&extra).expect("warm within budget"),
-                cold.try_lexmin().expect("cold within budget"),
+                want,
                 "case {case}: base {base:?} extra {extra:?}"
             );
+            // Redundant rows on either side of the warm/cold split move
+            // neither answer.
+            let mut padded = IlpProblem::new(n);
+            for r in with_redundant_rows(&mut redundant, &base_vec) {
+                padded.add_ineq(r);
+            }
+            let padded_extra = with_redundant_rows(&mut redundant, &extra);
+            let warm = padded.solve_base().expect("padded base within budget");
+            assert_eq!(
+                warm.lexmin_with(&padded_extra).expect("warm within budget"),
+                want,
+                "case {case}: padded base {padded:?} extra {padded_extra:?}"
+            );
+            for e in padded_extra {
+                padded.add_ineq(e);
+            }
+            assert_eq!(padded.try_lexmin().expect("cold within budget"), want);
         }
     }
 
@@ -221,6 +261,7 @@ mod tests {
     #[test]
     fn randomized_against_brute_force() {
         let mut rng = Rng::new(0xB0DDE5);
+        let mut redundant = Rng::new(0xB0DD_D0B1);
         for case in 0..300 {
             let n = rng.range_usize(1, 3);
             let m = rng.range_usize(1, 4);
@@ -246,6 +287,44 @@ mod tests {
             let got = p.lexmin();
             let want = brute::lexmin_boxed(n, &all, 7);
             assert_eq!(got, want, "case {case}: rows {rows:?}");
+            let mut padded = IlpProblem::new(n);
+            for r in with_redundant_rows(&mut redundant, &all) {
+                padded.add_ineq(r);
+            }
+            assert_eq!(padded.lexmin(), want, "case {case}: padded {padded:?}");
         }
+    }
+
+    #[test]
+    fn pivot_and_cut_counts_repeat_exactly() {
+        // 40 seeded rows over 4 boxed variables, all satisfied by one
+        // hidden point so the solver has to walk to a lexmin: the pivot
+        // path is a function of the rows alone, so two solves under fresh
+        // sessions report the same work.
+        let mut rng = Rng::new(0xD17E_2417);
+        let n = 4;
+        let mut p = IlpProblem::new(n);
+        for i in 0..n {
+            let mut r = vec![0; n + 1];
+            r[i] = -1;
+            r[n] = 9;
+            p.add_ineq(r);
+        }
+        let hidden: Vec<Int> = (0..n).map(|_| rng.range_i64(1, 6) as Int).collect();
+        while p.num_ineqs() < 40 {
+            let mut r: Vec<Int> = (0..n).map(|_| rng.range_i64(-3, 5) as Int).collect();
+            let at_hidden: Int = r.iter().zip(&hidden).map(|(a, x)| a * x).sum();
+            r.push(rng.range_i64(0, 3) as Int - at_hidden);
+            p.add_ineq(r);
+        }
+        let solve = || {
+            let session = ObsSession::builder().profile().build();
+            let _guard = session.install();
+            let sol = p.try_lexmin().expect("within budget");
+            (sol, counters::ILP_PIVOTS.get(), counters::ILP_CUTS.get())
+        };
+        let first = solve();
+        assert!(first.1 > 0 && first.2 > 0, "must pivot and cut: {first:?}");
+        assert_eq!(first, solve());
     }
 }

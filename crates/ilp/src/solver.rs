@@ -363,10 +363,16 @@ impl Tableau {
 
     /// Whether column `j` scaled by `1/aj` is lexicographically smaller than
     /// column `b` scaled by `1/ab` (rows compared in variable-id order).
+    /// Both scales are positive, so `x/aj < y/ab` is decided exactly by
+    /// `x·ab < y·aj` — no division, and a row where both cells are zero
+    /// ties without any arithmetic.
     fn lex_ratio_less(&self, j: usize, aj: Ratio, b: usize, ab: Ratio) -> bool {
-        for v in 0..self.rows.len() {
-            let lhs = self.rows[v][1 + j] / aj;
-            let rhs = self.rows[v][1 + b] / ab;
+        for row in &self.rows {
+            let (x, y) = (row[1 + j], row[1 + b]);
+            if x.is_zero() && y.is_zero() {
+                continue;
+            }
+            let (lhs, rhs) = (x * ab, y * aj);
             if lhs != rhs {
                 return lhs < rhs;
             }
@@ -377,43 +383,44 @@ impl Tableau {
     /// Pivot: the variable of row `r` leaves the basis (becomes column `j`'s
     /// label), the variable labeling column `j` enters.
     fn pivot(&mut self, r: usize, j: usize) {
-        let entering = self.cols[j];
         let a = self.rows[r][1 + j];
         debug_assert!(a.signum() > 0);
-        // Express the entering variable from row r:
+        // Express the entering variable from row r, in row r's own buffer:
         //   v_r = c0 + a * y_j + Σ c_k y_k
         //   y_j = (v_r - c0 - Σ c_k y_k) / a
-        let old = self.rows[r].clone();
         let inv = a.recip();
-        let width = old.len();
-        let mut expr = vec![Ratio::ZERO; width];
-        expr[0] = -old[0] * inv;
-        for k in 0..width - 1 {
-            if k == j {
-                expr[1 + k] = inv; // coefficient of v_r in the new basis
-            } else {
-                expr[1 + k] = -old[1 + k] * inv;
+        let mut expr = std::mem::take(&mut self.rows[r]);
+        let mut nonzero = Vec::with_capacity(expr.len());
+        for (k, e) in expr.iter_mut().enumerate() {
+            if k == 1 + j {
+                *e = inv; // coefficient of v_r in the new basis
+            } else if !e.is_zero() {
+                *e = -*e * inv;
+            }
+            if !e.is_zero() {
+                nonzero.push(k);
             }
         }
-        // Substitute into every row: the coefficient that multiplied y_j now
-        // multiplies `expr` (column j is relabeled to v_r).
-        for v in 0..self.rows.len() {
-            let coeff = self.rows[v][1 + j];
+        // Substitute into every other row: the coefficient that multiplied
+        // y_j now multiplies `expr` (column j is relabeled to v_r). The
+        // entering variable's old row was the unit vector on column j, so
+        // this loop also writes its new row.
+        for (v, row) in self.rows.iter_mut().enumerate() {
+            if v == r {
+                continue; // its buffer is `expr`
+            }
+            let coeff = std::mem::take(&mut row[1 + j]);
             if coeff.is_zero() {
                 continue;
             }
-            self.rows[v][1 + j] = Ratio::ZERO;
-            for (cell, &e) in self.rows[v].iter_mut().zip(&expr) {
-                *cell += coeff * e;
+            for &k in &nonzero {
+                row[k] += coeff * expr[k];
             }
         }
         // The leaving variable v_r is now non-basic: unit row on column j.
-        let mut unit = vec![Ratio::ZERO; width];
-        unit[1 + j] = Ratio::ONE;
-        // (entering variable's row was updated by the substitution loop above,
-        // because its old row was the unit vector on column j.)
-        let _ = entering;
-        self.rows[r] = unit;
+        expr.fill(Ratio::ZERO);
+        expr[1 + j] = Ratio::ONE;
+        self.rows[r] = expr;
         self.cols[j] = r;
     }
 

@@ -152,8 +152,16 @@ impl fmt::Display for Ratio {
 impl Add for Ratio {
     type Output = Ratio;
     fn add(self, rhs: Ratio) -> Ratio {
+        // Integer operands — nearly every simplex tableau cell — need no
+        // gcd and no renormalization.
+        if self.den == 1 && rhs.den == 1 {
+            let num = self.num.checked_add(rhs.num);
+            return Ratio::from(num.expect("rational add overflow"));
+        }
         let g = gcd(self.den, rhs.den);
-        let l = self.den / g * rhs.den;
+        let l = (self.den / g)
+            .checked_mul(rhs.den)
+            .expect("rational add overflow");
         let n = self
             .num
             .checked_mul(rhs.den / g)
@@ -193,6 +201,10 @@ impl Neg for Ratio {
 impl Mul for Ratio {
     type Output = Ratio;
     fn mul(self, rhs: Ratio) -> Ratio {
+        if self.den == 1 && rhs.den == 1 {
+            let num = self.num.checked_mul(rhs.num);
+            return Ratio::from(num.expect("rational mul overflow"));
+        }
         // Cross-cancel before multiplying to limit growth.
         let g1 = gcd(self.num, rhs.den);
         let g2 = gcd(rhs.num, self.den);
@@ -286,6 +298,34 @@ mod tests {
         assert!(Ratio::new(1, 3) < Ratio::new(1, 2));
         assert!(Ratio::new(-1, 2) < Ratio::ZERO);
         assert!(Ratio::new(3, 2) > Ratio::ONE);
+    }
+
+    #[test]
+    fn integer_operands_stay_normalized() {
+        assert_eq!(Ratio::from(6) + Ratio::from(-6), Ratio::ZERO);
+        assert_eq!(Ratio::from(-4) * Ratio::from(3), Ratio::new(-12, 1));
+        assert!((Ratio::from(7) * Ratio::from(0)).is_integer());
+    }
+
+    #[test]
+    #[should_panic(expected = "rational add overflow")]
+    fn common_denominator_overflow_panics() {
+        // gcd of the denominators is 1, so their product exceeds i128.
+        let big: Int = 1 << 100;
+        let _ = Ratio::new(1, big + 1) + Ratio::new(1, big + 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "rational add overflow")]
+    fn integer_add_overflow_panics() {
+        let _ = Ratio::from(Int::MAX) + Ratio::ONE;
+    }
+
+    #[test]
+    #[should_panic(expected = "rational mul overflow")]
+    fn integer_mul_overflow_panics() {
+        let big: Int = 1 << 100;
+        let _ = Ratio::from(big) * Ratio::from(big);
     }
 
     #[test]

@@ -189,4 +189,14 @@ registry! {
     /// the workload's working set no longer fits and hit rates degrade
     /// (visible in `pluto-stats/1` under service aggregation).
     ILP_CACHE_EVICTIONS => "ilp.cache_evictions";
+    /// Duplicate and dominated rows of a band's assembled dependence
+    /// system removed before it reached the tableau (`core::search`):
+    /// rows assembled (`RowSolved.ilp_rows`) minus this is what was
+    /// solved.
+    ILP_ROWS_DROPPED => "ilp.rows_dropped";
+    /// Farkas systems taken from the search's memo instead of being
+    /// eliminated again (same form, statements and dependence
+    /// polyhedron); `core.legality_systems`/`core.bounding_systems`
+    /// count only eliminations actually run.
+    FARKAS_MEMO_HITS => "core.farkas_memo_hits";
 }

@@ -360,8 +360,11 @@ impl ConstraintSet {
     /// vector and a tighter constant (`a·x + c₁ >= 0` implies
     /// `a·x + c₂ >= 0` when `c₁ <= c₂`). Rows are gcd-normalized on entry,
     /// so the coefficient-vector comparison is canonical. Cheap enough to
-    /// run between Fourier–Motzkin steps.
-    fn prune_dominated(&mut self) {
+    /// run between Fourier–Motzkin steps. The surviving row of each
+    /// coefficient vector is the first one carrying the tightest constant,
+    /// at its own position, so the result's order is a function of the
+    /// input's alone.
+    pub fn prune_dominated(&mut self) {
         use std::collections::BTreeMap;
         let n = self.num_vars;
         let mut tightest: BTreeMap<&[Int], Int> = BTreeMap::new();

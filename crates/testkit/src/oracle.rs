@@ -314,7 +314,7 @@ pub fn check_kernel(k: &BuiltKernel, cfg: &OracleConfig) -> Result<(), String> {
                 prog,
                 &deps_cold,
                 &pluto::PlutoOptions {
-                    warm_start: false,
+                    solver_shortcuts: false,
                     ..pluto::PlutoOptions::default()
                 },
             )

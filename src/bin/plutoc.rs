@@ -42,7 +42,8 @@
 //!                     dependence analysis (default 4)
 //!   --no-solver-cache disable every compile-time shortcut — the
 //!                     canonicalized emptiness cache, simplex
-//!                     warm-starting, and dependence-candidate pruning
+//!                     warm-starting with its row deduplication and
+//!                     Farkas memo, and dependence-candidate pruning
 //!                     (DESIGN.md §11). Output-invariant by construction;
 //!                     this switch exists for differentials and debugging
 //! ```

@@ -69,14 +69,15 @@ pub fn set_option(opt: &mut Optimizer, name: &str, value: &Json) -> Result<(), S
 
 /// `plutoc --no-solver-cache`: turns off every compile-time shortcut at
 /// once — the emptiness cache of the installed session, dependence
-/// candidate pruning, parallel pair analysis and simplex warm-starting
-/// (DESIGN.md §11). All are output-invariant, so one switch lets a
+/// candidate pruning, parallel pair analysis and the search's own
+/// shortcuts: simplex warm-starting, row deduplication and the Farkas
+/// memo (DESIGN.md §11). All are output-invariant, so one switch lets a
 /// single on/off differential cover them.
 pub fn disable_solver_shortcuts(opt: &mut Optimizer) {
     pluto_poly::cache::set_enabled(false);
     opt.dep_pruning = false;
     opt.dep_threads = 1;
-    opt.options.warm_start = false;
+    opt.options.solver_shortcuts = false;
 }
 
 /// A concrete execution shape: the parameter values and per-array

@@ -78,6 +78,35 @@ fn ratio_field_axioms() {
     );
 }
 
+/// `Ratio`'s integer fast paths (both denominators 1) against the general
+/// path's formulas, on operand pairs that mix integers with proper
+/// fractions so every fast/general combination is drawn.
+#[test]
+fn ratio_integer_fast_paths_match_general_formulas() {
+    let gen = |rng: &mut Rng| {
+        let den = if rng.bool() { 1 } else { rng.range_i64(1, 12) };
+        Ratio::new(rng.range_i64(-1000, 1000) as i128, den as i128)
+    };
+    check(
+        &Config::with_cases(10_000).from_env(),
+        "ratio_integer_fast_paths_match_general_formulas",
+        |rng| (gen(rng), gen(rng)),
+        |_| vec![],
+        |&(a, b)| {
+            let (an, ad, bn, bd) = (a.numer(), a.denom(), b.numer(), b.denom());
+            let sum = Ratio::new(an * bd + bn * ad, ad * bd);
+            let product = Ratio::new(an * bn, ad * bd);
+            if a + b != sum {
+                return Err(format!("{a:?} + {b:?} = {:?}, want {sum:?}", a + b));
+            }
+            if a * b != product {
+                return Err(format!("{a:?} * {b:?} = {:?}, want {product:?}", a * b));
+            }
+            Ok(())
+        },
+    );
+}
+
 /// floor/ceil bracket the rational value.
 #[test]
 fn ratio_floor_ceil() {
