@@ -1,13 +1,15 @@
 #!/bin/sh
 # Hermetic CI gate: lint + format + rustdoc checks, offline release
-# build, full offline test suite, the 200-kernel fixed-seed differential
+# build, a one-emitter gate (only obs::json writes JSON text), full
+# offline test suite, the 200-kernel fixed-seed differential
 # fuzz run, a bench_json smoke run with BENCH_*.json schema checks, a
 # bench_diff perf-regression gate against the committed baselines,
 # smoke runs of the repo benchmark's four workloads (the only build of
 # benchmark/ against the workspace crates), a plutoc option-validation gate, a
 # concurrent-compile isolation smoke (per-session telemetry), a plutod
 # daemon smoke (cache hits + the stats aggregation invariant re-derived
-# from the wire documents), and a trace-schema smoke run of
+# from the wire documents, then hostile request lines answered with
+# errors while the service stays up), and a trace-schema smoke run of
 # `plutoc --trace`.
 #
 # The workspace has zero external dependencies (path deps only), so every
@@ -27,6 +29,16 @@ cargo fmt --check
 echo "== rustdoc (no-deps, warnings are errors) =="
 RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace
 
+echo "== one JSON emitter: nothing outside obs::json escapes a string =="
+# Every document is a pluto_obs::json::Json value serialized by
+# to_compact/to_pretty; a string escaper anywhere else means some code
+# is writing JSON text by hand again.
+if grep -rn 'escape(' --include=*.rs crates src \
+    | grep -v '^crates/obs/src/json.rs:'; then
+    echo "JSON text is produced outside crates/obs/src/json.rs" >&2
+    exit 1
+fi
+
 echo "== build (release, all targets, offline) =="
 cargo build --release --offline --workspace --all-targets
 
@@ -40,11 +52,11 @@ TESTKIT_CASES=200 cargo test --release --offline --test differential_fuzz \
     -- --nocapture
 
 echo "== bench smoke: BENCH_*.json emission + well-formedness =="
-# bench_json validates its own output with the in-tree pluto_obs::json
-# parser before writing; here we re-check the files exist, parse, and
-# carry the expected schema tags, keeping the gate hermetic (no python,
-# no jq). Committed baselines are set aside first so bench_diff below
-# can compare the fresh run against them.
+# bench_json builds both documents as pluto_obs::json values; here we
+# check the files exist and carry the expected schema tags (bench_diff
+# below parses them), keeping the gate hermetic (no python, no jq).
+# Committed baselines are set aside first so bench_diff can compare the
+# fresh run against them.
 cp BENCH_pipeline.json /tmp/pluto-ci-baseline-pipeline.json
 cp BENCH_kernels.json /tmp/pluto-ci-baseline-kernels.json
 cargo run --release --offline -p pluto-bench
@@ -202,6 +214,25 @@ cmp /tmp/pluto-ci-daemon-sum.txt /tmp/pluto-ci-daemon-stats.txt || {
     exit 1
 }
 
+echo "== daemon smoke: hostile request lines get errors, the service stays up =="
+# 200 000 unclosed brackets once overflowed the parser's stack (SIGABRT)
+# and an id of 1e999 was echoed back as `inf`, which is not JSON. Both
+# are answered "ok": false now, and the health request behind them on
+# the same process is served.
+{
+    head -c 200000 /dev/zero | tr '\0' '['
+    printf '\n{"id": 1e999, "method": "health"}\n{"id": 3, "method": "health"}\n'
+} | ./target/release/plutod \
+    > /tmp/pluto-ci-daemon-hostile.jsonl 2> /tmp/pluto-ci-daemon-hostile-log.jsonl
+[ "$(wc -l < /tmp/pluto-ci-daemon-hostile.jsonl)" -eq 3 ]
+[ "$(head -n 2 /tmp/pluto-ci-daemon-hostile.jsonl | grep -c '"ok": false')" -eq 2 ]
+tail -n 1 /tmp/pluto-ci-daemon-hostile.jsonl | grep -q '"id": 3, "ok": true'
+if grep -q 'inf' /tmp/pluto-ci-daemon-hostile.jsonl \
+    /tmp/pluto-ci-daemon-hostile-log.jsonl; then
+    echo "plutod wrote a non-finite number" >&2
+    exit 1
+fi
+
 echo "== trace smoke: plutoc --trace emits a valid trace_event/1 document =="
 ./target/release/plutoc --tile 8 --trace /tmp/pluto-ci-trace.json \
     examples/seidel-2d.c > /dev/null
@@ -209,12 +240,11 @@ grep -q '"schema": "trace_event/1"' /tmp/pluto-ci-trace.json
 grep -q '"ph": "B"' /tmp/pluto-ci-trace.json
 
 echo "== explain smoke: pluto-explain/1 + PL007 ledger cross-check per example =="
-# --explain-json self-validates the emitted document with the in-tree
-# RFC-8259 parser before printing; --analyze re-proves every decision-log
-# satisfaction claim independently (PL007) AND translation-validates the
-# compiled bytecode against the polyhedral source (PL008–PL013), so a
-# clean exit per kernel means the telemetry, the static verifier, and the
-# executor's compiler all agree. (The fuzz run above applies the same
+# --analyze re-proves every decision-log satisfaction claim
+# independently (PL007) AND translation-validates the compiled bytecode
+# against the polyhedral source (PL008–PL013), so a clean exit per
+# kernel means the telemetry, the static verifier, and the executor's
+# compiler all agree. (The fuzz run above applies the same
 # ledger + bytecode gates to all 200 random kernels via the oracle.)
 for example in examples/*.c; do
     ./target/release/plutoc --explain-json --analyze "$example" \

@@ -39,6 +39,7 @@ use pluto::Transformation;
 use pluto_codegen::Ast;
 use pluto_ir::{Dependence, Program};
 use pluto_linalg::Int;
+use pluto_obs::json::{arr, num, obj, string, Json};
 
 pub mod bounds;
 pub mod bytecode;
@@ -277,46 +278,21 @@ pub fn render_text(diags: &[Diagnostic]) -> String {
     out
 }
 
-/// Renders diagnostics as a JSON array (hand-rolled — the workspace has no
-/// external dependencies). Schema per element:
+/// The diagnostics as the `--analyze-json` array; per element
 /// `{"code","severity","path","message","witness":{name:value,…}}`.
-pub fn render_json(diags: &[Diagnostic]) -> String {
-    fn esc(s: &str) -> String {
-        let mut out = String::with_capacity(s.len() + 2);
-        for c in s.chars() {
-            match c {
-                '"' => out.push_str("\\\""),
-                '\\' => out.push_str("\\\\"),
-                '\n' => out.push_str("\\n"),
-                '\t' => out.push_str("\\t"),
-                c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-                c => out.push(c),
-            }
-        }
-        out
-    }
-    let mut out = String::from("[");
-    for (i, d) in diags.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "\n  {{\"code\": \"{}\", \"severity\": \"{}\", \"path\": \"{}\", \"message\": \"{}\", \"witness\": {{",
-            d.code.as_str(),
-            d.severity.as_str(),
-            esc(&d.path),
-            esc(&d.message)
-        ));
-        for (j, (n, v)) in d.witness.iter().enumerate() {
-            if j > 0 {
-                out.push_str(", ");
-            }
-            out.push_str(&format!("\"{}\": {}", esc(n), v));
-        }
-        out.push_str("}}");
-    }
-    out.push_str("\n]\n");
-    out
+pub fn diagnostics_json(diags: &[Diagnostic]) -> Json {
+    arr(diags.iter().map(|d| {
+        obj([
+            ("code", string(d.code.as_str())),
+            ("severity", string(d.severity.as_str())),
+            ("path", string(&*d.path)),
+            ("message", string(&*d.message)),
+            (
+                "witness",
+                obj(d.witness.iter().map(|(n, v)| (n.as_str(), num(*v)))),
+            ),
+        ])
+    }))
 }
 
 /// Whether the findings contain no `Error`-severity diagnostics — the

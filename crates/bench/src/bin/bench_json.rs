@@ -15,11 +15,9 @@
 //! incompatible runs instead of silently diffing apples to oranges.
 //!
 //! `cargo run -p pluto-bench --release` runs it (the crate's default
-//! binary). Both files are re-validated through `pluto_obs::json` before
-//! the process exits, so a malformed emitter fails loudly here rather
-//! than in a consumer. Schemas, kernel set and sampler policy are
-//! documented in PERFORMANCE.md; EXPERIMENTS.md records the trajectory
-//! across PRs.
+//! binary). Both documents are `pluto_obs::json` values written with
+//! `to_pretty`. Schemas, kernel set and sampler policy are documented in
+//! PERFORMANCE.md; EXPERIMENTS.md records the trajectory across PRs.
 
 use pluto::Optimizer;
 use pluto_bench::timing::{sample, Stats};
@@ -31,7 +29,9 @@ use pluto_machine::{
     run_compiled_parallel_profiled, run_with_cache_attributed, Arrays, CacheConfig, ParallelConfig,
 };
 use pluto_obs::aggregate::fnv1a;
-use pluto_obs::{exec_json, json, Session};
+use pluto_obs::hist::hists_json;
+use pluto_obs::json::{arr, num, nums, obj, string, Json};
+use pluto_obs::{counters_json, phases_json, Session};
 
 /// Timed samples per variant (after one warm-up); small because the
 /// emitter runs inside the CI smoke gate.
@@ -91,25 +91,24 @@ fn kernel_set_hash(set: &[(&'static str, Kernel, Vec<i64>)]) -> String {
 /// persistent pool of `THREADS - 1` workers, warmed on the first
 /// wavefront dispatch and never grown again — `main` asserts the real
 /// spawn counter matches after all sampling.
-fn meta_json(set: &[(&'static str, Kernel, Vec<i64>)], engine: Option<&str>) -> String {
-    format!(
-        "  \"meta\": {{\n    \"kernel_set_hash\": \"{}\",\n    \"tile\": {TILE},\n    \
-         \"threads\": {THREADS},\n    \"samples\": {SAMPLES},\n    \"pool_spawns\": {}{}\n  }},\n",
-        kernel_set_hash(set),
-        THREADS - 1,
-        engine.map_or(String::new(), |e| format!(
-            ",\n    \"engine\": {}",
-            json::escape(e)
-        ))
-    )
+fn meta_json(set: &[(&'static str, Kernel, Vec<i64>)], engine: Option<&str>) -> Json {
+    let mut fields = vec![
+        ("kernel_set_hash", string(kernel_set_hash(set))),
+        ("tile", num(TILE)),
+        ("threads", num(THREADS)),
+        ("samples", num(SAMPLES)),
+        ("pool_spawns", num(THREADS - 1)),
+    ];
+    fields.extend(engine.map(|e| ("engine", string(e))));
+    obj(fields)
 }
 
 fn main() {
     let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
     let set = bench_set();
 
-    let pipeline = emit_pipeline(&set);
-    let kernels_doc = emit_kernels(&set);
+    let pipeline = pipeline_json(&set);
+    let kernels_doc = kernels_json(&set);
 
     // Acceptance: the whole bench run — every kernel, every wavefront
     // sample — cost exactly one pool warm-up of THREADS - 1 threads.
@@ -119,26 +118,23 @@ fn main() {
         "thread spawns observed after pool init"
     );
 
-    for (name, text) in [
+    for (name, doc) in [
         ("BENCH_pipeline.json", &pipeline),
         ("BENCH_kernels.json", &kernels_doc),
     ] {
-        json::parse(text).unwrap_or_else(|e| panic!("emitted {name} is malformed: {e}"));
         let path = root.join(name);
-        std::fs::write(&path, text).unwrap_or_else(|e| panic!("cannot write {name}: {e}"));
+        std::fs::write(&path, doc.to_pretty() + "\n")
+            .unwrap_or_else(|e| panic!("cannot write {name}: {e}"));
         println!("wrote {}", path.display());
     }
 }
 
-/// Compiles every kernel under an observability session and serializes
+/// Compiles every kernel under an observability session and lays out
 /// each profile (phases + full counter registry + full histogram
 /// registry with log2-bucket p50/p95 estimates, so `bench_diff` can
 /// track latency-distribution drift alongside the counter gates).
-fn emit_pipeline(set: &[(&'static str, Kernel, Vec<i64>)]) -> String {
-    let mut out = String::from("{\n  \"schema\": \"pluto-bench-pipeline/3\",\n");
-    out.push_str(&meta_json(set, None));
-    out.push_str("  \"kernels\": [");
-    for (i, (name, k, _)) in set.iter().enumerate() {
+fn pipeline_json(set: &[(&'static str, Kernel, Vec<i64>)]) -> Json {
+    let kernels = set.iter().map(|(name, k, _)| {
         let session = Session::start();
         let optimized = Optimizer::new()
             .tile_size(TILE)
@@ -146,72 +142,33 @@ fn emit_pipeline(set: &[(&'static str, Kernel, Vec<i64>)]) -> String {
             .unwrap_or_else(|e| panic!("{name}: transformation failed: {e}"));
         let _ast = generate(&k.program, &optimized.result.transform);
         let profile = session.finish();
-
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "\n    {{\n      \"kernel\": {},\n      \"total_ns\": {},\n      \"phases\": [",
-            json::escape(name),
-            profile.total_ns
-        ));
-        for (j, p) in profile.phases.iter().enumerate() {
-            if j > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "\n        {{\"path\": {}, \"calls\": {}, \"wall_ns\": {}}}",
-                json::escape(&p.path),
-                p.calls,
-                p.wall_ns
-            ));
-        }
-        out.push_str("\n      ],\n      \"counters\": [");
-        for (j, c) in profile.counters.iter().enumerate() {
-            if j > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "\n        {{\"name\": {}, \"value\": {}}}",
-                json::escape(c.name),
-                c.value
-            ));
-        }
-        out.push_str("\n      ],\n      \"hists\": [");
-        for (j, h) in profile.hists.iter().enumerate() {
-            if j > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "\n        {{\"name\": {}, \"count\": {}, \"sum_ns\": {}, \"p50_ns\": {}, \
-                 \"p95_ns\": {}, \"buckets\": [{}]}}",
-                json::escape(h.name),
-                h.count,
-                h.sum_ns,
-                h.p50_ns(),
-                h.quantile_ns(0.95),
-                h.buckets
-                    .iter()
-                    .map(|b| b.to_string())
-                    .collect::<Vec<_>>()
-                    .join(", ")
-            ));
-        }
-        out.push_str("\n      ]\n    }");
-    }
-    out.push_str("\n  ]\n}\n");
-    out
+        obj([
+            ("kernel", string(*name)),
+            ("total_ns", num(profile.total_ns)),
+            ("phases", phases_json(&profile.phases)),
+            (
+                "counters",
+                counters_json(profile.counters.iter().map(|c| (c.name, c.value))),
+            ),
+            (
+                "hists",
+                hists_json(&profile.hists, &[("p50_ns", 0.50), ("p95_ns", 0.95)]),
+            ),
+        ])
+    });
+    obj([
+        ("schema", string("pluto-bench-pipeline/3")),
+        ("meta", meta_json(set, None)),
+        ("kernels", arr(kernels)),
+    ])
 }
 
 /// Samples original-sequential, pluto-sequential and pluto-wavefront
 /// bytecode runs for every kernel, then measures the wavefront
 /// variant's execution profile (imbalance, barrier wait, per-array
 /// attribution) in one additional instrumented run per kernel.
-fn emit_kernels(set: &[(&'static str, Kernel, Vec<i64>)]) -> String {
-    let mut out = String::from("{\n  \"schema\": \"pluto-bench-kernels/3\",\n");
-    out.push_str(&meta_json(set, Some("bytecode")));
-    out.push_str(&format!("  \"samples\": {SAMPLES},\n  \"kernels\": ["));
-    for (i, (name, k, params)) in set.iter().enumerate() {
+fn kernels_json(set: &[(&'static str, Kernel, Vec<i64>)]) -> Json {
+    let kernels = set.iter().map(|(name, k, params)| {
         let orig = variants::orig(&k.program);
         let pluto = variants::pluto(&k.program, TILE, 1);
         let orig_ast = generate(&k.program, &orig.result.transform);
@@ -256,43 +213,34 @@ fn emit_kernels(set: &[(&'static str, Kernel, Vec<i64>)]) -> String {
             })
             .collect();
 
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "\n    {{\n      \"kernel\": {},\n      \"params\": [{}],\n      \"variants\": [",
-            json::escape(name),
-            params
-                .iter()
-                .map(|p| p.to_string())
-                .collect::<Vec<_>>()
-                .join(", ")
-        ));
-        let rows = [
+        let variants = [
             ("original-sequential", seq),
             ("pluto-sequential", tra),
             ("pluto-wavefront", par),
         ];
-        for (j, (vname, st)) in rows.iter().enumerate() {
-            if j > 0 {
-                out.push(',');
-            }
-            out.push_str(&variant_json(vname, st));
-        }
-        out.push_str("\n      ],\n      \"exec\": ");
-        out.push_str(&exec_json(&eprof, "      "));
-        out.push_str("\n    }");
-    }
-    out.push_str("\n  ]\n}\n");
-    out
+        obj([
+            ("kernel", string(*name)),
+            ("params", nums(params)),
+            (
+                "variants",
+                arr(variants.iter().map(|(vname, st)| variant_json(vname, st))),
+            ),
+            ("exec", eprof.to_json()),
+        ])
+    });
+    obj([
+        ("schema", string("pluto-bench-kernels/3")),
+        ("meta", meta_json(set, Some("bytecode"))),
+        ("samples", num(SAMPLES)),
+        ("kernels", arr(kernels)),
+    ])
 }
 
-fn variant_json(name: &str, st: &Stats) -> String {
-    format!(
-        "\n        {{\"name\": {}, \"min_ns\": {}, \"median_ns\": {}, \"max_ns\": {}}}",
-        json::escape(name),
-        st.min_ns,
-        st.median_ns,
-        st.max_ns
-    )
+fn variant_json(name: &str, st: &Stats) -> Json {
+    obj([
+        ("name", string(name)),
+        ("min_ns", num(st.min_ns)),
+        ("median_ns", num(st.median_ns)),
+        ("max_ns", num(st.max_ns)),
+    ])
 }

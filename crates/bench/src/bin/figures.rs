@@ -92,9 +92,8 @@ fn trace_wavefront(path: &str) {
         );
     }
     let trace = obs.take_trace();
-    let doc = trace.to_chrome_json();
-    pluto_obs::json::parse(&doc).expect("emitted trace must be valid JSON");
-    std::fs::write(path, &doc).unwrap_or_else(|e| panic!("figures: cannot write `{path}`: {e}"));
+    let doc = trace.to_chrome_json().to_pretty() + "\n";
+    std::fs::write(path, doc).unwrap_or_else(|e| panic!("figures: cannot write `{path}`: {e}"));
     println!(
         "wrote {} trace events on {} timelines to {path} (seidel-2d wavefront, T=8 N=64)",
         trace.events.len(),

@@ -3,8 +3,9 @@
 //! across PRs is this gap and the counter table".
 //!
 //! [`diff_documents`] compares two documents of the same schema
-//! (`pluto-bench-pipeline/2` or `/3`, or `pluto-bench-kernels/3`)
-//! metric by metric. The gating policy follows PERFORMANCE.md §6:
+//! (`pluto-bench-pipeline/3` or `pluto-bench-kernels/3`, what
+//! `bench_json` writes; a pair of `pluto-bench-pipeline/2` documents,
+//! which have no `hists`, is still read) metric by metric. The gating policy follows PERFORMANCE.md §6:
 //!
 //! * **counter-based metrics** (solver counters, dispatch counts,
 //!   simulated cache accesses/misses) are deterministic for a given

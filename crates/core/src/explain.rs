@@ -1,7 +1,7 @@
 //! Transformation reports: which dependence is satisfied where, what each
 //! band looks like, and why loops are (not) parallel — the information the
 //! paper's figures annotate by hand. [`explain`] renders the human
-//! report; [`explain_json`] emits the stable `pluto-explain/1` document
+//! report; [`explain_json`] builds the stable `pluto-explain/1` document
 //! (schema in PERFORMANCE.md, pinned by `tests/explain_golden.rs`).
 
 use crate::search::SearchResult;
@@ -9,7 +9,7 @@ use crate::types::{Parallelism, RowKind, Transformation};
 use pluto_ir::{Dependence, Program};
 use pluto_linalg::Int;
 use pluto_obs::decision::DecisionLog;
-use pluto_obs::json;
+use pluto_obs::json::{arr, num, obj, string, Json};
 use std::fmt::Write as _;
 
 /// The dependence-distance row `δ_k` over the joint space
@@ -183,32 +183,21 @@ pub fn explain(prog: &Program, deps: &[Dependence], res: &SearchResult) -> Strin
     out
 }
 
-/// Emits the stable `pluto-explain/1` JSON document: transformation rows
-/// (kind, parallelism, tile level, wavefront skew), permutable bands, the
+/// The stable `pluto-explain/1` document: transformation rows (kind,
+/// parallelism, tile level, wavefront skew), permutable bands, the
 /// dependence satisfaction table, decision-log search statistics and the
-/// event stream itself. Top-level key order is part of the schema
-/// (pinned by `tests/explain_golden.rs`); renaming or reordering keys is
-/// a schema break and requires bumping to `pluto-explain/2`.
+/// event stream itself. Key order is part of the schema (pinned by
+/// `tests/explain_golden.rs`); renaming or reordering keys is a schema
+/// break and requires bumping to `pluto-explain/2`.
 pub fn explain_json(
     prog: &Program,
     deps: &[Dependence],
     res: &SearchResult,
     log: &DecisionLog,
     kernel: Option<&str>,
-) -> String {
+) -> Json {
     let t = &res.transform;
-    let mut out = String::from("{\n");
-    out.push_str("  \"schema\": \"pluto-explain/1\",\n");
-    match kernel {
-        Some(k) => {
-            let _ = writeln!(out, "  \"kernel\": {},", json::escape(k));
-        }
-        None => out.push_str("  \"kernel\": null,\n"),
-    }
-    let _ = writeln!(out, "  \"program\": {},", json::escape(&prog.name));
-
-    out.push_str("  \"rows\": [");
-    for r in 0..t.num_rows() {
+    let rows = (0..t.num_rows()).map(|r| {
         let info = t.rows[r];
         let kind = match info.kind {
             RowKind::Loop => "loop",
@@ -219,73 +208,62 @@ pub fn explain_json(
             Parallelism::Vector => "vector",
             Parallelism::Sequential => "sequential",
         };
-        let _ = write!(
-            out,
-            "{}\n    {{\"index\": {r}, \"kind\": \"{kind}\", \"par\": \"{par}\", \
-             \"tile_level\": {}, \"skewed\": {}}}",
-            if r > 0 { "," } else { "" },
-            info.tile_level,
-            info.skewed
-        );
-    }
-    out.push_str(if t.num_rows() > 0 { "\n  ],\n" } else { "],\n" });
-
-    out.push_str("  \"bands\": [");
-    for (i, b) in t.bands.iter().enumerate() {
-        let _ = write!(
-            out,
-            "{}\n    {{\"start\": {}, \"width\": {}, \"tile_level\": {}}}",
-            if i > 0 { "," } else { "" },
-            b.start,
-            b.width,
-            t.rows[b.start].tile_level
-        );
-    }
-    out.push_str(if t.bands.is_empty() {
-        "],\n"
-    } else {
-        "\n  ],\n"
+        obj([
+            ("index", num(r)),
+            ("kind", string(kind)),
+            ("par", string(par)),
+            ("tile_level", num(info.tile_level)),
+            ("skewed", Json::Bool(info.skewed)),
+        ])
     });
-
-    out.push_str("  \"dependences\": [");
-    for (di, d) in deps.iter().enumerate() {
-        let sat = match res.satisfied_at.get(di).copied().flatten() {
-            Some(r) => r.to_string(),
-            None => "null".to_string(),
-        };
-        let carries: Vec<String> = (0..t.num_rows())
-            .filter(|&r| t.rows[r].kind == RowKind::Loop && aug_carried_at(prog, t, d, r))
-            .map(|r| r.to_string())
-            .collect();
-        let _ = write!(
-            out,
-            "{}\n    {{\"index\": {di}, \"src\": {}, \"dst\": {}, \"kind\": \"{}\", \
-             \"orig_level\": {}, \"satisfied_at\": {sat}, \"carried_at\": [{}]}}",
-            if di > 0 { "," } else { "" },
-            json::escape(&prog.stmts[d.src].name),
-            json::escape(&prog.stmts[d.dst].name),
-            d.kind,
-            d.level,
-            carries.join(", ")
-        );
-    }
-    out.push_str(if deps.is_empty() { "],\n" } else { "\n  ],\n" });
-
+    let bands = t.bands.iter().map(|b| {
+        obj([
+            ("start", num(b.start)),
+            ("width", num(b.width)),
+            ("tile_level", num(t.rows[b.start].tile_level)),
+        ])
+    });
+    let dependences = deps.iter().enumerate().map(|(di, d)| {
+        let carried = (0..t.num_rows())
+            .filter(|&r| t.rows[r].kind == RowKind::Loop && aug_carried_at(prog, t, d, r));
+        obj([
+            ("index", num(di)),
+            ("src", string(&*prog.stmts[d.src].name)),
+            ("dst", string(&*prog.stmts[d.dst].name)),
+            ("kind", string(d.kind.to_string())),
+            ("orig_level", num(d.level)),
+            (
+                "satisfied_at",
+                res.satisfied_at
+                    .get(di)
+                    .copied()
+                    .flatten()
+                    .map_or(Json::Null, num),
+            ),
+            ("carried_at", arr(carried.map(num))),
+        ])
+    });
     let s = log.stats();
-    let _ = writeln!(
-        out,
-        "  \"stats\": {{\"rows_solved\": {}, \"candidates_rejected\": {}, \"scc_cuts\": {}, \
-         \"row_solve_failures\": {}, \"feautrier_fallbacks\": {}}},",
-        s.rows_solved,
-        s.candidates_rejected,
-        s.scc_cuts,
-        s.row_solve_failures,
-        s.feautrier_fallbacks
-    );
-    let _ = writeln!(out, "  \"dropped_events\": {},", log.dropped);
-    let _ = writeln!(out, "  \"events\": {}", log.events_json("  "));
-    out.push('}');
-    out
+    obj([
+        ("schema", string("pluto-explain/1")),
+        ("kernel", kernel.map_or(Json::Null, string)),
+        ("program", string(&*prog.name)),
+        ("rows", arr(rows)),
+        ("bands", arr(bands)),
+        ("dependences", arr(dependences)),
+        (
+            "stats",
+            obj([
+                ("rows_solved", num(s.rows_solved)),
+                ("candidates_rejected", num(s.candidates_rejected)),
+                ("scc_cuts", num(s.scc_cuts)),
+                ("row_solve_failures", num(s.row_solve_failures)),
+                ("feautrier_fallbacks", num(s.feautrier_fallbacks)),
+            ]),
+        ),
+        ("dropped_events", num(log.dropped)),
+        ("events", log.events_json()),
+    ])
 }
 
 #[cfg(test)]
@@ -380,8 +358,7 @@ mod tests {
         let prog = b.build();
         let deps = analyze_dependences(&prog, true);
         let res = find_transformation(&prog, &deps, &PlutoOptions::default()).unwrap();
-        let doc = explain_json(&prog, &deps, &res, &DecisionLog::default(), Some("scan.c"));
-        let v = json::parse(&doc).expect("valid JSON");
+        let v = explain_json(&prog, &deps, &res, &DecisionLog::default(), Some("scan.c"));
         assert_eq!(v.get("schema").unwrap().as_str(), Some("pluto-explain/1"));
         assert_eq!(v.get("kernel").unwrap().as_str(), Some("scan.c"));
         assert_eq!(

@@ -6,23 +6,18 @@
 //! itself in aggregate — total solver work, merged latency
 //! distributions, whole-compile latency quantiles, request/error/cache
 //! totals — without ever letting one request's telemetry contaminate
-//! another's. The types here are that second layer:
-//!
-//! * [`Snapshot`] — the portable summary of one finished compile:
-//!   every registered counter (by registry index), every phase
-//!   wall-time, every latency histogram, and the compile's total wall
-//!   time. Taken from a [`Profile`] with [`Snapshot::of`];
-//! * [`ServiceMetrics`] — the mergeable accumulator: [`record`]ing a
-//!   snapshot sums its counters into atomic cells, adds its histograms
-//!   bucket-wise, accumulates its phase times, and drops its total
-//!   wall time into a rolling whole-compile latency histogram.
+//! another's. [`ServiceMetrics`] is that second layer, a mergeable
+//! accumulator: [`record`]ing a finished [`Profile`] sums its counters
+//! into atomic cells, adds its histograms bucket-wise, accumulates its
+//! phase times, and drops its total wall time into a rolling
+//! whole-compile latency histogram.
 //!
 //! # The aggregation invariant
 //!
-//! Because [`record`] *adds the snapshot and nothing else* — counters
+//! Because [`record`] *adds the profile and nothing else* — counters
 //! by `fetch_add`, histograms bucket-by-bucket, phases call-by-call —
 //! the service totals are **exactly** the component-wise sum of the
-//! recorded per-request snapshots, under any interleaving of
+//! recorded per-request profiles, under any interleaving of
 //! concurrent recorders. `pluto-stats/1` (the [`stats_json`] document)
 //! therefore equals the sum over the served `pluto-profile/3`
 //! documents by construction; `tests/daemon_golden.rs` and the ci.sh
@@ -33,7 +28,8 @@
 //! [`stats_json`]: ServiceMetrics::stats_json
 
 use crate::hist::{self, HistSnapshot};
-use crate::{counters, json, Phase, Profile};
+use crate::json::{num, obj, string, Json};
+use crate::{counters, counters_json, phases_json, Phase, Profile};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
@@ -49,48 +45,6 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
         h = h.wrapping_mul(0x0100_0000_01b3);
     }
     h
-}
-
-/// The portable summary of one finished compile: everything
-/// [`ServiceMetrics`] can merge. Counters are stored positionally in
-/// registry order (the same order [`Profile`] serializes them), so
-/// merging is index arithmetic, not name lookup.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Snapshot {
-    /// The compile's total wall time in nanoseconds
-    /// ([`Profile::total_ns`]); feeds the service's rolling
-    /// whole-compile latency histogram.
-    pub total_ns: u128,
-    /// Completed phases, paths and call counts included.
-    pub phases: Vec<Phase>,
-    /// One value per registered counter, in registry order
-    /// (`counters::all()` position `i` ↦ `counters[i]`).
-    pub counters: Vec<u64>,
-    /// One snapshot per registered histogram, in registry order.
-    pub hists: Vec<HistSnapshot>,
-}
-
-impl Snapshot {
-    /// Summarizes a finished [`Profile`] — the snapshot a service takes
-    /// after each request's session ends, before handing the profile
-    /// itself back to the client.
-    pub fn of(profile: &Profile) -> Snapshot {
-        Snapshot {
-            total_ns: profile.total_ns,
-            phases: profile.phases.clone(),
-            counters: profile.counters.iter().map(|c| c.value).collect(),
-            hists: profile.hists.clone(),
-        }
-    }
-}
-
-/// The string-keyed half of the aggregate (phase paths), kept under one
-/// mutex; the counter cells and latency buckets are lock-free atomics.
-#[derive(Debug, Default)]
-struct Merged {
-    /// Accumulated phases, sorted by path (parents before children,
-    /// like [`Profile::phases`]).
-    phases: Vec<Phase>,
 }
 
 /// Live, mergeable service metrics: the state behind `plutod`'s `stats`
@@ -123,10 +77,11 @@ pub struct ServiceMetrics {
     /// Σ per-request histograms, merged bucket-wise (registry order),
     /// plus accumulated phases.
     merged_hists: Mutex<Vec<HistSnapshot>>,
-    /// Accumulated phase wall-times.
-    merged: Mutex<Merged>,
+    /// Accumulated phase wall-times, sorted by path (parents before
+    /// children, like [`Profile::phases`]).
+    merged_phases: Mutex<Vec<Phase>>,
     /// Rolling whole-compile latency histogram: one
-    /// [`Snapshot::total_ns`] sample per recorded request.
+    /// [`Profile::total_ns`] sample per recorded request.
     latency: hist::Cells,
 }
 
@@ -160,40 +115,41 @@ impl ServiceMetrics {
                     })
                     .collect(),
             ),
-            merged: Mutex::new(Merged::default()),
+            merged_phases: Mutex::new(Vec::new()),
             latency: hist::Cells::new(),
         }
     }
 
-    /// Merges one request's snapshot into the service totals: counters
-    /// sum, histograms add bucket-wise, phase times accumulate, and the
-    /// snapshot's `total_ns` lands in the rolling whole-compile latency
-    /// histogram. Adds the snapshot and nothing else — the aggregation
-    /// invariant (service == Σ snapshots) holds by construction.
-    pub fn record(&self, snap: &Snapshot) {
+    /// Merges one request's profile into the service totals: counters
+    /// sum (both sides are in registry order), histograms add
+    /// bucket-wise, phase times accumulate, and the profile's `total_ns`
+    /// lands in the rolling whole-compile latency histogram. Adds the
+    /// profile and nothing else — the aggregation invariant (service ==
+    /// Σ profiles) holds by construction.
+    pub fn record(&self, profile: &Profile) {
         self.requests.fetch_add(1, Ordering::Relaxed);
-        for (cell, &v) in self.counters.iter().zip(&snap.counters) {
-            cell.fetch_add(v, Ordering::Relaxed);
+        for (cell, c) in self.counters.iter().zip(&profile.counters) {
+            cell.fetch_add(c.value, Ordering::Relaxed);
         }
         self.latency
-            .record_ns(u64::try_from(snap.total_ns).unwrap_or(u64::MAX));
+            .record_ns(u64::try_from(profile.total_ns).unwrap_or(u64::MAX));
         {
             let mut hists = self.merged_hists.lock().expect("service hists poisoned");
-            for (mine, theirs) in hists.iter_mut().zip(&snap.hists) {
+            for (mine, theirs) in hists.iter_mut().zip(&profile.hists) {
                 mine.merge(theirs);
             }
         }
-        let mut merged = self.merged.lock().expect("service phases poisoned");
-        for p in &snap.phases {
-            match merged.phases.iter_mut().find(|m| m.path == p.path) {
+        let mut merged = self.merged_phases.lock().expect("service phases poisoned");
+        for p in &profile.phases {
+            match merged.iter_mut().find(|m| m.path == p.path) {
                 Some(m) => {
                     m.calls += p.calls;
                     m.wall_ns += p.wall_ns;
                 }
-                None => merged.phases.push(p.clone()),
+                None => merged.push(p.clone()),
             }
         }
-        merged.phases.sort_by(|a, b| a.path.cmp(&b.path));
+        merged.sort_by(|a, b| a.path.cmp(&b.path));
     }
 
     /// Counts one failed compile request (nothing else is merged for
@@ -251,97 +207,48 @@ impl ServiceMetrics {
         self.latency.snapshot("service.latency.compile")
     }
 
-    /// Serializes the aggregate as a versioned `pluto-stats/1` document
-    /// (schema in PERFORMANCE.md §5.6). `cache_entries`/`cache_capacity`
-    /// describe the schedule cache's current occupancy — the one piece
-    /// of service state that lives outside this accumulator.
+    /// The aggregate as a `pluto-stats/1` document (PERFORMANCE.md
+    /// §5.6). `cache_entries`/`cache_capacity` describe the schedule
+    /// cache's current occupancy — the one piece of service state that
+    /// lives outside this accumulator.
     ///
     /// Counter and histogram sections carry the full registries in
     /// registry order, zeros included, exactly like `pluto-profile/3` —
     /// and every value is the exact sum of the recorded per-request
-    /// profiles. The `latency` section adds p50/p90/p99 estimates from
+    /// profiles. `latency` and `hists` add p50/p90/p99 estimates from
     /// the log2 buckets ([`hist::quantile_from_buckets`]).
-    pub fn stats_json(&self, cache_entries: usize, cache_capacity: usize) -> String {
+    pub fn stats_json(&self, cache_entries: usize, cache_capacity: usize) -> Json {
+        const QUANTILES: &[(&str, f64)] = &[("p50_ns", 0.50), ("p90_ns", 0.90), ("p99_ns", 0.99)];
         let (hits, misses, evictions) = self.cache_totals();
-        let mut out = String::from("{\n");
-        out.push_str("  \"schema\": \"pluto-stats/1\",\n");
-        out.push_str(&format!(
-            "  \"uptime_ns\": {},\n",
-            self.started.elapsed().as_nanos()
-        ));
-        out.push_str(&format!("  \"requests\": {},\n", self.requests()));
-        out.push_str(&format!("  \"errors\": {},\n", self.errors()));
-        out.push_str(&format!(
-            "  \"cache\": {{\"hits\": {hits}, \"misses\": {misses}, \"evictions\": {evictions}, \
-             \"entries\": {cache_entries}, \"capacity\": {cache_capacity}}},\n"
-        ));
-        let lat = self.latency();
-        out.push_str(&format!(
-            "  \"latency\": {{\"count\": {}, \"sum_ns\": {}, \"p50_ns\": {}, \"p90_ns\": {}, \
-             \"p99_ns\": {}, \"buckets\": [{}]}},\n",
-            lat.count,
-            lat.sum_ns,
-            lat.p50_ns(),
-            lat.p90_ns(),
-            lat.p99_ns(),
-            lat.buckets
-                .iter()
-                .map(|b| b.to_string())
-                .collect::<Vec<_>>()
-                .join(", ")
-        ));
-        out.push_str("  \"phases\": [");
-        {
-            let merged = self.merged.lock().expect("service phases poisoned");
-            for (i, p) in merged.phases.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                out.push_str(&format!(
-                    "\n    {{\"path\": {}, \"calls\": {}, \"wall_ns\": {}}}",
-                    json::escape(&p.path),
-                    p.calls,
-                    p.wall_ns
-                ));
-            }
-        }
-        out.push_str("\n  ],\n  \"counters\": [");
-        for (i, c) in counters::all().iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "\n    {{\"name\": {}, \"value\": {}}}",
-                json::escape(c.name()),
-                self.counters[i].load(Ordering::Relaxed)
-            ));
-        }
-        out.push_str("\n  ],\n  \"hists\": [");
-        {
-            let hists = self.merged_hists.lock().expect("service hists poisoned");
-            for (i, h) in hists.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                out.push_str(&format!(
-                    "\n    {{\"name\": {}, \"count\": {}, \"sum_ns\": {}, \"p50_ns\": {}, \
-                     \"p90_ns\": {}, \"p99_ns\": {}, \"buckets\": [{}]}}",
-                    json::escape(h.name),
-                    h.count,
-                    h.sum_ns,
-                    h.p50_ns(),
-                    h.p90_ns(),
-                    h.p99_ns(),
-                    h.buckets
-                        .iter()
-                        .map(|b| b.to_string())
-                        .collect::<Vec<_>>()
-                        .join(", ")
-                ));
-            }
-        }
-        out.push_str("\n  ]\n}\n");
-        out
+        let phases = phases_json(&self.merged_phases.lock().expect("service phases poisoned"));
+        let hists = hist::hists_json(
+            &self.merged_hists.lock().expect("service hists poisoned"),
+            QUANTILES,
+        );
+        let counters = counters::all()
+            .iter()
+            .zip(&self.counters)
+            .map(|(c, cell)| (c.name(), cell.load(Ordering::Relaxed)));
+        obj([
+            ("schema", string("pluto-stats/1")),
+            ("uptime_ns", num(self.started.elapsed().as_nanos())),
+            ("requests", num(self.requests())),
+            ("errors", num(self.errors())),
+            (
+                "cache",
+                obj([
+                    ("hits", num(hits)),
+                    ("misses", num(misses)),
+                    ("evictions", num(evictions)),
+                    ("entries", num(cache_entries)),
+                    ("capacity", num(cache_capacity)),
+                ]),
+            ),
+            ("latency", obj(self.latency().json_fields(QUANTILES))),
+            ("phases", phases),
+            ("counters", counters_json(counters)),
+            ("hists", hists),
+        ])
     }
 }
 
@@ -350,15 +257,15 @@ mod tests {
     use super::*;
     use crate::{span, Session};
 
-    /// A real compiled-ish snapshot: run a tiny session, bump counters.
-    fn sample_snapshot(pivots: u64, ns: u64) -> Snapshot {
+    /// A real compiled-ish profile: run a tiny session, bump counters.
+    fn sample_profile(pivots: u64, ns: u64) -> Profile {
         let session = Session::start();
         counters::ILP_PIVOTS.add(pivots);
         hist::SEARCH_ROW.record_ns(ns);
         {
             let _s = span("optimize");
         }
-        Snapshot::of(&session.finish())
+        session.finish()
     }
 
     #[test]
@@ -372,8 +279,8 @@ mod tests {
     #[test]
     fn service_totals_are_exact_sums() {
         let metrics = ServiceMetrics::new();
-        let a = sample_snapshot(3, 100);
-        let b = sample_snapshot(39, 900);
+        let a = sample_profile(3, 100);
+        let b = sample_profile(39, 900);
         metrics.record(&a);
         metrics.record(&b);
         assert_eq!(metrics.requests(), 2);
@@ -381,7 +288,7 @@ mod tests {
         assert_eq!(metrics.counter("core.scc_cuts"), Some(0));
         assert_eq!(metrics.counter("no.such.counter"), None);
         // Histograms merged bucket-wise: 2 samples total.
-        let stats = crate::json::parse(&metrics.stats_json(0, 8)).unwrap();
+        let stats = metrics.stats_json(0, 8);
         let hists = stats.get("hists").unwrap().as_array().unwrap();
         let sr = hists
             .iter()
@@ -402,7 +309,7 @@ mod tests {
     #[test]
     fn concurrent_recording_loses_nothing() {
         let metrics = ServiceMetrics::new();
-        let snaps: Vec<Snapshot> = (0..16).map(|i| sample_snapshot(i + 1, 50)).collect();
+        let snaps: Vec<Profile> = (0..16).map(|i| sample_profile(i + 1, 50)).collect();
         std::thread::scope(|scope| {
             for chunk in snaps.chunks(4) {
                 let m = &metrics;
@@ -422,13 +329,12 @@ mod tests {
     #[test]
     fn stats_document_is_valid_and_versioned() {
         let metrics = ServiceMetrics::new();
-        metrics.record(&sample_snapshot(7, 300));
+        metrics.record(&sample_profile(7, 300));
         metrics.record_error();
         metrics.record_cache_hit();
         metrics.record_cache_miss();
         metrics.record_cache_evictions(2);
-        let doc = metrics.stats_json(5, 64);
-        let v = crate::json::parse(&doc).expect("stats document parses");
+        let v = metrics.stats_json(5, 64);
         assert_eq!(v.get("schema").unwrap().as_str(), Some("pluto-stats/1"));
         assert_eq!(v.get("requests").unwrap().as_u64(), Some(1));
         assert_eq!(v.get("errors").unwrap().as_u64(), Some(1));

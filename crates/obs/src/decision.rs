@@ -56,7 +56,7 @@
 //! assert_eq!(log.ledger(2), vec![Some(0), None]);
 //! ```
 
-use crate::json;
+use crate::json::{arr, num, nums, obj, string, Json};
 
 /// Hard bound on each session's retained event count. The search emits
 /// a handful of events per scattering row, so even pathological programs
@@ -361,27 +361,22 @@ impl DecisionEvent {
         }
     }
 
-    /// Serializes the event as one `pluto-explain/1` JSON object.
-    pub fn to_json(&self) -> String {
-        fn usizes(v: &[usize]) -> String {
-            let items: Vec<String> = v.iter().map(|x| x.to_string()).collect();
-            format!("[{}]", items.join(", "))
-        }
-        fn i64s(v: &[i64]) -> String {
-            let items: Vec<String> = v.iter().map(|x| x.to_string()).collect();
-            format!("[{}]", items.join(", "))
-        }
-        let mut out = format!("{{\"kind\": {}", json::escape(self.kind()));
+    /// The event as one `pluto-explain/1` object: `kind`, then the
+    /// variant's fields in declaration order.
+    pub fn to_json(&self) -> Json {
+        let mut fields = vec![("kind", string(self.kind()))];
         match self {
             DecisionEvent::FarkasEliminated {
                 multipliers,
                 rows_in,
                 eqs_out,
                 ineqs_out,
-            } => out.push_str(&format!(
-                ", \"multipliers\": {multipliers}, \"rows_in\": {rows_in}, \
-                 \"eqs_out\": {eqs_out}, \"ineqs_out\": {ineqs_out}"
-            )),
+            } => fields.extend([
+                ("multipliers", num(*multipliers)),
+                ("rows_in", num(*rows_in)),
+                ("eqs_out", num(*eqs_out)),
+                ("ineqs_out", num(*ineqs_out)),
+            ]),
             DecisionEvent::RowSolved {
                 row,
                 ilp_rows,
@@ -391,62 +386,59 @@ impl DecisionEvent {
                 newly_satisfied,
                 still_carried,
                 orth_constraints,
-            } => {
-                let hp: Vec<String> = hyperplanes.iter().map(|h| i64s(h)).collect();
-                out.push_str(&format!(
-                    ", \"row\": {row}, \"ilp_rows\": {ilp_rows}, \"ilp_cols\": {ilp_cols}, \
-                     \"objective\": {}, \"hyperplanes\": [{}], \"newly_satisfied\": {}, \
-                     \"still_carried\": {}, \"orth_constraints\": {orth_constraints}",
-                    i64s(objective),
-                    hp.join(", "),
-                    usizes(newly_satisfied),
-                    usizes(still_carried)
-                ));
-            }
-            DecisionEvent::RowSolveFailed { row } => out.push_str(&format!(", \"row\": {row}")),
-            DecisionEvent::CandidateRejected { row, stmt, reason } => out.push_str(&format!(
-                ", \"row\": {row}, \"stmt\": {stmt}, \"reason\": {}",
-                json::escape(reason.as_str())
-            )),
+            } => fields.extend([
+                ("row", num(*row)),
+                ("ilp_rows", num(*ilp_rows)),
+                ("ilp_cols", num(*ilp_cols)),
+                ("objective", nums(objective)),
+                ("hyperplanes", arr(hyperplanes.iter().map(|h| nums(h)))),
+                ("newly_satisfied", nums(newly_satisfied)),
+                ("still_carried", nums(still_carried)),
+                ("orth_constraints", num(*orth_constraints)),
+            ]),
+            DecisionEvent::RowSolveFailed { row } => fields.push(("row", num(*row))),
+            DecisionEvent::CandidateRejected { row, stmt, reason } => fields.extend([
+                ("row", num(*row)),
+                ("stmt", num(*stmt)),
+                ("reason", string(reason.as_str())),
+            ]),
             DecisionEvent::SccCut {
                 row,
                 reason,
                 components,
                 satisfied,
-            } => out.push_str(&format!(
-                ", \"row\": {row}, \"reason\": {}, \"components\": {components}, \
-                 \"satisfied\": {}",
-                json::escape(reason.as_str()),
-                usizes(satisfied)
-            )),
+            } => fields.extend([
+                ("row", num(*row)),
+                ("reason", string(reason.as_str())),
+                ("components", num(*components)),
+                ("satisfied", nums(satisfied)),
+            ]),
             DecisionEvent::BandClosed { start, width } => {
-                out.push_str(&format!(", \"start\": {start}, \"width\": {width}"));
+                fields.extend([("start", num(*start)), ("width", num(*width))]);
             }
             DecisionEvent::RowsInserted {
                 at,
                 count,
                 tile_level,
-            } => out.push_str(&format!(
-                ", \"at\": {at}, \"count\": {count}, \"tile_level\": {tile_level}"
-            )),
+            } => fields.extend([
+                ("at", num(*at)),
+                ("count", num(*count)),
+                ("tile_level", num(*tile_level)),
+            ]),
             DecisionEvent::Wavefront { row, degrees } => {
-                out.push_str(&format!(", \"row\": {row}, \"degrees\": {degrees}"));
+                fields.extend([("row", num(*row)), ("degrees", num(*degrees))]);
             }
             DecisionEvent::RowMoved { from, to } => {
-                out.push_str(&format!(", \"from\": {from}, \"to\": {to}"));
+                fields.extend([("from", num(*from)), ("to", num(*to))]);
             }
             DecisionEvent::FeautrierFallback { statements } => {
-                out.push_str(&format!(", \"statements\": {statements}"));
+                fields.push(("statements", num(*statements)));
             }
             DecisionEvent::FeautrierRow { row, satisfied } => {
-                out.push_str(&format!(
-                    ", \"row\": {row}, \"satisfied\": {}",
-                    usizes(satisfied)
-                ));
+                fields.extend([("row", num(*row)), ("satisfied", nums(satisfied))]);
             }
         }
-        out.push('}');
-        out
+        obj(fields)
     }
 }
 
@@ -568,26 +560,10 @@ impl DecisionLog {
         out
     }
 
-    /// Serializes the events as a `pluto-explain/1` JSON array; each
-    /// element is one object with a `kind` discriminator. `indent` is
-    /// the base indentation of the array's closing bracket.
-    pub fn events_json(&self, indent: &str) -> String {
-        let mut out = String::from("[");
-        for (i, ev) in self.events.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push('\n');
-            out.push_str(indent);
-            out.push_str("  ");
-            out.push_str(&ev.to_json());
-        }
-        if !self.events.is_empty() {
-            out.push('\n');
-            out.push_str(indent);
-        }
-        out.push(']');
-        out
+    /// The `events` array of `pluto-explain/1`: one object per event,
+    /// each with a `kind` discriminator.
+    pub fn events_json(&self) -> Json {
+        arr(self.events.iter().map(DecisionEvent::to_json))
     }
 }
 
@@ -653,8 +629,8 @@ mod tests {
         assert_eq!(s.candidates_rejected, 1);
         assert_eq!(s.scc_cuts, 1);
         assert_eq!(log.ledger(2), vec![Some(1), Some(0)]);
-        // The JSON array parses and carries the kind discriminators.
-        let doc = json::parse(&log.events_json("")).expect("valid events JSON");
+        // The events array carries the kind discriminators.
+        let doc = log.events_json();
         let evs = doc.as_array().unwrap();
         assert_eq!(evs.len(), 3);
         assert_eq!(evs[0].get("kind").unwrap().as_str(), Some("row_solved"));

@@ -27,6 +27,8 @@
 //! compute the same derived metrics without any session
 //! (`run_parallel_profiled`).
 
+use crate::json::{arr, num, nums, obj, ratio, string, Json};
+
 /// One parallel-loop dispatch: what each thread of the team did between
 /// entering the region and the implicit barrier at its exit.
 #[derive(Debug, Clone, PartialEq)]
@@ -179,6 +181,32 @@ impl ExecProfile {
             barrier_wait_ns,
             arrays,
         }
+    }
+
+    /// The `exec` object of `pluto-profile/3` and
+    /// `pluto-bench-kernels/3` (PERFORMANCE.md §5.1); ratios carry four
+    /// decimals.
+    pub fn to_json(&self) -> Json {
+        obj([
+            ("dispatches", num(self.dispatches)),
+            ("threads", num(self.threads)),
+            ("instances_per_thread", nums(&self.instances_per_thread)),
+            ("imbalance_mean", ratio(self.imbalance_mean)),
+            ("imbalance_max", ratio(self.imbalance_max)),
+            ("barrier_wait_ns", num(self.barrier_wait_ns)),
+            (
+                "arrays",
+                arr(self.arrays.iter().map(|a| {
+                    obj([
+                        ("name", string(&*a.name)),
+                        ("accesses", num(a.accesses)),
+                        ("l1_misses", num(a.l1_misses)),
+                        ("l2_misses", num(a.l2_misses)),
+                        ("l1_miss_rate", ratio(a.l1_miss_rate())),
+                    ])
+                })),
+            ),
+        ])
     }
 }
 

@@ -37,6 +37,7 @@
 //! assert_eq!(h.buckets[9], 1); // 2^9 = 512 <= 900 < 1024
 //! ```
 
+use crate::json::{arr, num, nums, obj, string, Json};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
@@ -234,6 +235,30 @@ impl HistSnapshot {
     pub fn p99_ns(&self) -> u64 {
         self.quantile_ns(0.99)
     }
+
+    /// Everything but the name, as object fields: `count`, `sum_ns`, one
+    /// estimate per `(key, q)` in `quantiles`, then all `buckets`.
+    pub fn json_fields<'a>(&self, quantiles: &[(&'a str, f64)]) -> Vec<(&'a str, Json)> {
+        let mut fields = vec![("count", num(self.count)), ("sum_ns", num(self.sum_ns))];
+        fields.extend(
+            quantiles
+                .iter()
+                .map(|&(key, q)| (key, num(self.quantile_ns(q)))),
+        );
+        fields.push(("buckets", nums(&self.buckets)));
+        fields
+    }
+}
+
+/// The `hists` section of `pluto-profile/3` (no quantile columns),
+/// `pluto-stats/1` (p50/p90/p99) and `pluto-bench-pipeline/3` (p50/p95):
+/// one `{name, count, sum_ns, <quantiles…>, buckets}` per histogram.
+pub fn hists_json(hists: &[HistSnapshot], quantiles: &[(&str, f64)]) -> Json {
+    arr(hists.iter().map(|h| {
+        let mut fields = vec![("name", string(h.name))];
+        fields.extend(h.json_fields(quantiles));
+        obj(fields)
+    }))
 }
 
 /// Estimates the `q`-quantile (`0.0 < q <= 1.0`) of a log2-bucketed

@@ -1,24 +1,34 @@
-//! A minimal JSON reader/escaper so profile and bench output can be
-//! validated in-tree without external crates (the workspace is hermetic —
-//! DESIGN.md §8).
-//!
-//! This is a *validator*, not a general-purpose JSON library: it accepts
-//! strict RFC 8259 JSON (no comments, no trailing commas), parses numbers
-//! as `f64`, and exposes just enough accessors for the golden tests and
-//! the bench harness to check the documents this workspace emits
-//! (`pluto-profile/3`, `pluto-bench-pipeline/2`, `pluto-bench-kernels/2`,
-//! `trace_event/1`; schemas in PERFORMANCE.md).
+//! The workspace's JSON document model (the workspace is hermetic —
+//! DESIGN.md §2, §9c): every schema this repository emits — `pluto-profile/3`,
+//! `pluto-explain/1`, `trace_event/1`, `pluto-stats/1`, `pluto-rpc/1`,
+//! `pluto-log/1`, `pluto-bench-pipeline/3`, `pluto-bench-kernels/3` and
+//! the `--analyze-json` array (PERFORMANCE.md §5) — is built as a [`Json`]
+//! value from the constructors here ([`obj`], [`arr`], [`num`],
+//! [`nums`], [`string`], [`ratio`]) and becomes text through exactly two serializers,
+//! [`Json::to_compact`] and [`Json::to_pretty`]. [`parse`] reads strict
+//! RFC 8259 JSON (no comments, no trailing commas, numbers as `f64`,
+//! nesting capped at [`MAX_DEPTH`]) for input that arrives from outside
+//! the process: a `pluto-rpc/1` request line, a `BENCH_*.json` baseline.
 //!
 //! ```
-//! let v = pluto_obs::json::parse(r#"{"schema": "pluto-profile/1", "n": 3}"#).unwrap();
-//! assert_eq!(v.get("schema").unwrap().as_str(), Some("pluto-profile/1"));
+//! use pluto_obs::json::{self, num, obj, string};
+//! let doc = obj([("schema", string("pluto-profile/3")), ("n", num(3u64))]);
+//! assert_eq!(doc.to_compact(), r#"{"schema": "pluto-profile/3", "n": 3}"#);
+//! let v = json::parse(&doc.to_compact()).unwrap();
+//! assert_eq!(v.get("schema").unwrap().as_str(), Some("pluto-profile/3"));
 //! assert_eq!(v.get("n").unwrap().as_u64(), Some(3));
 //! ```
 
-use std::fmt;
+use std::fmt::{self, Write as _};
+use std::sync::Arc;
 
-/// A parsed JSON value. Objects preserve key order and allow duplicate
-/// keys ([`get`](Json::get) returns the first match).
+/// Deepest container nesting [`parse`] accepts (the deepest document this
+/// workspace emits is 5 levels). Deeper input is a [`ParseError`], not a
+/// stack overflow: `plutod` parses request lines from untrusted clients.
+pub const MAX_DEPTH: usize = 128;
+
+/// A JSON value. Objects preserve key order and allow duplicate keys
+/// ([`get`](Json::get) returns the first match).
 #[derive(Debug, Clone, PartialEq)]
 pub enum Json {
     /// `null`
@@ -27,6 +37,7 @@ pub enum Json {
     Bool(bool),
     /// Any JSON number, held as `f64` (exact for integers up to 2^53 —
     /// ample for nanosecond wall times and counter values in practice).
+    /// Non-finite values serialize as `null`.
     Number(f64),
     /// A string, unescaped.
     String(String),
@@ -34,7 +45,60 @@ pub enum Json {
     Array(Vec<Json>),
     /// An object as ordered key/value pairs.
     Object(Vec<(String, Json)>),
+    /// Text that is already [`to_compact`](Json::to_compact) output,
+    /// spliced verbatim by both serializers. Built only by `plutod`'s
+    /// schedule cache, which keeps each `pluto-explain/1` document as
+    /// compact text (a tree is ≈ 5.5× the size) and serves it on a hit
+    /// without parsing it back. Accessors see an opaque value.
+    Raw(Arc<str>),
 }
+
+/// An object from `(key, value)` pairs, in order.
+pub fn obj<'a>(fields: impl IntoIterator<Item = (&'a str, Json)>) -> Json {
+    Json::Object(
+        fields
+            .into_iter()
+            .map(|(k, v)| (k.to_string(), v))
+            .collect(),
+    )
+}
+
+/// An array from its items.
+pub fn arr(items: impl IntoIterator<Item = Json>) -> Json {
+    Json::Array(items.into_iter().collect())
+}
+
+/// A string value.
+pub fn string(s: impl Into<String>) -> Json {
+    Json::String(s.into())
+}
+
+/// A number from any of the numeric types the documents carry.
+pub fn num(n: impl Into<Json>) -> Json {
+    n.into()
+}
+
+/// An array of numbers.
+pub fn nums<N: Copy + Into<Json>>(items: &[N]) -> Json {
+    arr(items.iter().map(|&n| num(n)))
+}
+
+/// A ratio or rate, rounded to four decimals so that it does not carry
+/// sixteen digits of float noise onto the wire.
+pub fn ratio(x: f64) -> Json {
+    Json::Number((x * 1e4).round() / 1e4)
+}
+
+macro_rules! number_from {
+    ($($t:ty)*) => {$(
+        impl From<$t> for Json {
+            fn from(n: $t) -> Json {
+                Json::Number(n as f64)
+            }
+        }
+    )*};
+}
+number_from!(u8 u32 u64 u128 usize i64 i128 f64);
 
 impl Json {
     /// Object field lookup (first match); `None` for non-objects.
@@ -92,66 +156,151 @@ impl Json {
         matches!(self, Json::Null)
     }
 
-    /// Serializes this value as compact single-line JSON, with `", "`
-    /// between items and `": "` after keys (the same separators the
-    /// pretty emitters use, so `grep`-based gates match either form).
-    ///
-    /// This is how the `plutod` daemon embeds multi-line documents
-    /// (`pluto-profile/3`, `pluto-explain/1`, `pluto-stats/1`) inside
-    /// one-line `pluto-rpc/1` responses: parse, then re-serialize
-    /// compact. Integral numbers print without a fraction, so documents
-    /// of counters and nanosecond totals survive the round trip
-    /// byte-comparably.
+    /// Serializes this value as single-line JSON, with `", "` between
+    /// items and `": "` after keys (the separators `ci.sh`'s `grep` gates
+    /// and the benchmark's line scanner match on). This is the wire form
+    /// of every `pluto-rpc/1` response and `pluto-log/1` record. Integral
+    /// numbers print without a fraction; non-finite numbers print as
+    /// `null`, so the output is always JSON.
     ///
     /// ```
-    /// let v = pluto_obs::json::parse("{\n  \"a\": [1, 2],\n  \"b\": null\n}").unwrap();
-    /// assert_eq!(v.to_compact(), r#"{"a": [1, 2], "b": null}"#);
+    /// use pluto_obs::json::{arr, num, obj, Json};
+    /// let v = obj([("a", arr([num(1u64), num(2.5)])), ("b", Json::Null)]);
+    /// assert_eq!(v.to_compact(), r#"{"a": [1, 2.5], "b": null}"#);
     /// ```
     pub fn to_compact(&self) -> String {
         let mut out = String::new();
-        self.write_compact(&mut out);
+        self.write(&mut out, None);
         out
     }
 
-    fn write_compact(&self, out: &mut String) {
+    /// Serializes this value for files and terminals. One layout rule: a
+    /// value is written on one line, in [`to_compact`](Json::to_compact)'s
+    /// form, unless it is the document root or contains an array of
+    /// objects; such a value puts each of its items on a line of its own,
+    /// indented two spaces per level. Same separators as `to_compact`, no
+    /// trailing newline.
+    ///
+    /// ```
+    /// use pluto_obs::json::{arr, num, obj};
+    /// let v = obj([
+    ///     ("meta", obj([("tile", num(8u64))])),
+    ///     ("rows", arr([obj([("i", num(0u64))]), obj([("i", num(1u64))])])),
+    /// ]);
+    /// assert_eq!(
+    ///     v.to_pretty(),
+    ///     "{\n  \"meta\": {\"tile\": 8},\n  \"rows\": [\n    {\"i\": 0},\n    {\"i\": 1}\n  ]\n}"
+    /// );
+    /// ```
+    pub fn to_pretty(&self) -> String {
+        let mut out = String::new();
+        self.write(&mut out, Some(0));
+        out
+    }
+
+    /// The one writer behind both serializers, so they cannot disagree on
+    /// a separator. `level` is `None` under `to_compact`; under
+    /// `to_pretty` it is how many containers enclose this value.
+    fn write(&self, out: &mut String, level: Option<usize>) {
+        // `Some(n)`: this value spreads — each item on a line of its own
+        // at level `n + 1`. `None`: it is written on one line.
+        let spread = level.filter(|&n| n == 0 || self.holds_object_array());
+        let newline = |out: &mut String, level: usize| {
+            out.push('\n');
+            for _ in 0..level {
+                out.push_str("  ");
+            }
+        };
+        let before_item = |out: &mut String, index: usize| {
+            if index > 0 {
+                out.push(',');
+            }
+            match spread {
+                Some(n) => newline(out, n + 1),
+                None if index > 0 => out.push(' '),
+                None => {}
+            }
+        };
+        let after_items = |out: &mut String, len: usize| {
+            if let (Some(n), true) = (spread, len > 0) {
+                newline(out, n);
+            }
+        };
         match self {
             Json::Null => out.push_str("null"),
             Json::Bool(true) => out.push_str("true"),
             Json::Bool(false) => out.push_str("false"),
+            Json::Number(n) if !n.is_finite() => out.push_str("null"),
             Json::Number(n) => {
-                // Integers in f64's exact range print as integers: the
-                // form every in-tree emitter wrote them in.
-                if n.fract() == 0.0 && n.abs() < 9.0e15 {
-                    out.push_str(&format!("{}", *n as i64));
+                // Integers in f64's exact range print as integers.
+                let _ = if n.fract() == 0.0 && n.abs() < 9.0e15 {
+                    write!(out, "{}", *n as i64)
                 } else {
-                    out.push_str(&format!("{n}"));
-                }
+                    write!(out, "{n}")
+                };
             }
-            Json::String(s) => out.push_str(&escape(s)),
+            Json::String(s) => write_escaped(out, s),
             Json::Array(items) => {
                 out.push('[');
                 for (i, v) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push_str(", ");
-                    }
-                    v.write_compact(out);
+                    before_item(out, i);
+                    v.write(out, spread.map(|n| n + 1));
                 }
+                after_items(out, items.len());
                 out.push(']');
             }
             Json::Object(fields) => {
                 out.push('{');
                 for (i, (k, v)) in fields.iter().enumerate() {
-                    if i > 0 {
-                        out.push_str(", ");
-                    }
-                    out.push_str(&escape(k));
+                    before_item(out, i);
+                    write_escaped(out, k);
                     out.push_str(": ");
-                    v.write_compact(out);
+                    v.write(out, spread.map(|n| n + 1));
                 }
+                after_items(out, fields.len());
                 out.push('}');
             }
+            Json::Raw(text) => out.push_str(text),
         }
     }
+
+    /// Whether this value is, or contains, an array with an object in it
+    /// — the values [`to_pretty`](Json::to_pretty) spreads over lines.
+    fn holds_object_array(&self) -> bool {
+        match self {
+            Json::Array(items) => items
+                .iter()
+                .any(|v| matches!(v, Json::Object(_)) || v.holds_object_array()),
+            Json::Object(fields) => fields.iter().any(|(_, v)| v.holds_object_array()),
+            _ => false,
+        }
+    }
+}
+
+/// Appends `s` as a JSON string literal, quotes included.
+fn write_escaped(out: &mut String, s: &str) {
+    out.push('"');
+    let mut rest = s;
+    while let Some(at) = rest.find(|c: char| c == '"' || c == '\\' || (c as u32) < 0x20) {
+        out.push_str(&rest[..at]);
+        let c = rest[at..]
+            .chars()
+            .next()
+            .expect("find returned a char index");
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
+        }
+        rest = &rest[at + 1..];
+    }
+    out.push_str(rest);
+    out.push('"');
 }
 
 /// A parse failure: byte offset plus a short description.
@@ -176,37 +325,16 @@ impl fmt::Display for ParseError {
 impl std::error::Error for ParseError {}
 
 /// Parses a complete JSON document; trailing content (other than
-/// whitespace) is an error.
+/// whitespace) is an error, as is nesting deeper than [`MAX_DEPTH`].
 pub fn parse(text: &str) -> Result<Json, ParseError> {
     let bytes = text.as_bytes();
     let mut pos = 0;
-    let value = parse_value(bytes, &mut pos)?;
+    let value = parse_value(bytes, &mut pos, 0)?;
     skip_ws(bytes, &mut pos);
     if pos != bytes.len() {
         return Err(err(pos, "trailing content after document"));
     }
     Ok(value)
-}
-
-/// Escapes a string as a JSON string literal, including the surrounding
-/// quotes (used by [`Profile::to_json`](crate::Profile::to_json) and the
-/// bench emitter).
-pub fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 fn err(offset: usize, message: &str) -> ParseError {
@@ -222,12 +350,17 @@ fn skip_ws(bytes: &[u8], pos: &mut usize) {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, ParseError> {
+/// `depth` is the number of containers already open around this value.
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, ParseError> {
     skip_ws(bytes, pos);
     match bytes.get(*pos) {
         None => Err(err(*pos, "unexpected end of input")),
-        Some(b'{') => parse_object(bytes, pos),
-        Some(b'[') => parse_array(bytes, pos),
+        Some(b'{' | b'[') if depth >= MAX_DEPTH => Err(err(
+            *pos,
+            &format!("nesting deeper than {MAX_DEPTH} levels"),
+        )),
+        Some(b'{') => parse_object(bytes, pos, depth + 1),
+        Some(b'[') => parse_array(bytes, pos, depth + 1),
         Some(b'"') => Ok(Json::String(parse_string(bytes, pos)?)),
         Some(b't') => parse_literal(bytes, pos, "true", Json::Bool(true)),
         Some(b'f') => parse_literal(bytes, pos, "false", Json::Bool(false)),
@@ -251,7 +384,7 @@ fn parse_literal(
     }
 }
 
-fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Json, ParseError> {
+fn parse_object(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, ParseError> {
     *pos += 1; // consume '{'
     let mut fields = Vec::new();
     skip_ws(bytes, pos);
@@ -270,7 +403,7 @@ fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Json, ParseError> {
             return Err(err(*pos, "expected ':' after object key"));
         }
         *pos += 1;
-        let value = parse_value(bytes, pos)?;
+        let value = parse_value(bytes, pos, depth)?;
         fields.push((key, value));
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
@@ -284,7 +417,7 @@ fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Json, ParseError> {
     }
 }
 
-fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Json, ParseError> {
+fn parse_array(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, ParseError> {
     *pos += 1; // consume '['
     let mut items = Vec::new();
     skip_ws(bytes, pos);
@@ -293,7 +426,7 @@ fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Json, ParseError> {
         return Ok(Json::Array(items));
     }
     loop {
-        items.push(parse_value(bytes, pos)?);
+        items.push(parse_value(bytes, pos, depth)?);
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
             Some(b',') => *pos += 1,
@@ -305,7 +438,6 @@ fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Json, ParseError> {
         }
     }
 }
-
 fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, ParseError> {
     *pos += 1; // consume opening '"'
     let mut out = String::new();
@@ -361,20 +493,45 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, ParseError> {
     }
 }
 
+/// RFC 8259 §6: `[-] (0 | [1-9][0-9]*) [. [0-9]+] [(e|E) [+|-] [0-9]+]`.
 fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Json, ParseError> {
     let start = *pos;
+    let digits = |pos: &mut usize| {
+        let from = *pos;
+        while bytes.get(*pos).is_some_and(u8::is_ascii_digit) {
+            *pos += 1;
+        }
+        *pos - from
+    };
     if bytes.get(*pos) == Some(&b'-') {
         *pos += 1;
     }
-    while *pos < bytes.len()
-        && (bytes[*pos].is_ascii_digit() || matches!(bytes[*pos], b'.' | b'e' | b'E' | b'+' | b'-'))
-    {
+    let leading_zero = bytes.get(*pos) == Some(&b'0');
+    let int_digits = digits(pos);
+    if int_digits == 0 || (leading_zero && int_digits > 1) {
+        return Err(err(start, "invalid number"));
+    }
+    if bytes.get(*pos) == Some(&b'.') {
         *pos += 1;
+        if digits(pos) == 0 {
+            return Err(err(start, "invalid number"));
+        }
+    }
+    if matches!(bytes.get(*pos), Some(b'e' | b'E')) {
+        *pos += 1;
+        if matches!(bytes.get(*pos), Some(b'+' | b'-')) {
+            *pos += 1;
+        }
+        if digits(pos) == 0 {
+            return Err(err(start, "invalid number"));
+        }
     }
     let text = std::str::from_utf8(&bytes[start..*pos]).expect("ASCII slice");
-    text.parse::<f64>()
-        .map(Json::Number)
-        .map_err(|_| err(start, "invalid number"))
+    match text.parse::<f64>() {
+        Ok(n) if n.is_finite() => Ok(Json::Number(n)),
+        Ok(_) => Err(err(start, "number out of range")),
+        Err(_) => Err(err(start, "invalid number")),
+    }
 }
 
 #[cfg(test)]
@@ -393,10 +550,21 @@ mod tests {
     }
 
     #[test]
-    fn escape_round_trips() {
-        let original = "quote \" slash \\ newline \n tab \t bell \u{7} unicode µ";
-        let v = parse(&escape(original)).unwrap();
-        assert_eq!(v.as_str(), Some(original));
+    fn strings_round_trip_through_to_compact() {
+        for original in [
+            "quote \" slash \\ newline \n tab \t bell \u{7} unicode µ",
+            "a\"b\\c\u{0007}d\né",
+            "",
+            "\r\u{1f}😀",
+        ] {
+            let text = string(original).to_compact();
+            assert!(!text.contains('\n'), "raw newline in {text:?}");
+            assert_eq!(parse(&text).unwrap().as_str(), Some(original));
+            // Keys take the same path.
+            let doc = obj([(original, Json::Null)]).to_compact();
+            assert_eq!(parse(&doc).unwrap().get(original), Some(&Json::Null));
+        }
+        assert_eq!(string("a\u{7}\"").to_compact(), r#""a\u0007\"""#);
     }
 
     #[test]
@@ -428,9 +596,47 @@ mod tests {
     #[test]
     fn number_edge_cases() {
         assert_eq!(parse("0").unwrap().as_u64(), Some(0));
+        assert_eq!(parse("-0").unwrap().as_f64(), Some(0.0));
         assert_eq!(parse("1e3").unwrap().as_f64(), Some(1000.0));
         assert_eq!(parse("-1").unwrap().as_u64(), None);
         assert_eq!(parse("2.5").unwrap().as_u64(), None);
+        assert_eq!(parse("0.5e-1").unwrap().as_f64(), Some(0.05));
+        // RFC 8259 grammar: no leading zeros, digits on both sides of the
+        // point, digits after the exponent marker, no bare sign.
+        for bad in [
+            "012", "-012", "1.", ".5", "1.e3", "1e", "1e+", "-", "+1", "0x10", "1.5.2",
+        ] {
+            assert!(parse(bad).is_err(), "accepted non-RFC number {bad:?}");
+        }
+        // Overflow to ±∞ is rejected, never stored.
+        for huge in ["1e999", "-1e999"] {
+            let e = parse(huge).unwrap_err();
+            assert_eq!(e.message, "number out of range", "{huge}");
+        }
+        // Underflow rounds to zero, which is a finite number.
+        assert_eq!(parse("1e-999").unwrap().as_f64(), Some(0.0));
+        // The serializers never write a non-finite number.
+        let v = arr([num(f64::INFINITY), num(f64::NEG_INFINITY), num(f64::NAN)]);
+        assert_eq!(v.to_compact(), "[null, null, null]");
+        assert_eq!(v.to_pretty(), "[\n  null,\n  null,\n  null\n]");
+    }
+
+    #[test]
+    fn nesting_is_capped() {
+        let nested =
+            |open: &str, close: &str, n: usize| format!("{}0{}", open.repeat(n), close.repeat(n));
+        assert!(parse(&nested("[", "]", MAX_DEPTH)).is_ok());
+        assert!(parse(&nested("{\"x\":", "}", MAX_DEPTH)).is_ok());
+        for text in [
+            nested("[", "]", MAX_DEPTH + 1),
+            nested("{\"x\":", "}", MAX_DEPTH + 1),
+            // Unclosed: what a hostile client sends. An error, not a
+            // stack overflow.
+            "[".repeat(200_000),
+        ] {
+            let e = parse(&text).unwrap_err();
+            assert!(e.message.contains("nesting deeper"), "{e}");
+        }
     }
 
     #[test]
@@ -446,11 +652,75 @@ mod tests {
         let v = parse(text).unwrap();
         let compact = v.to_compact();
         assert!(!compact.contains('\n'), "compact output has newlines");
-        // Round trip: the compact form parses back to the same value.
         assert_eq!(parse(&compact).unwrap(), v);
         assert_eq!(
             compact,
             r#"{"s": "a\n\"b\"", "n": [0, -3, 2.5, 1000], "o": {"empty": [], "none": null, "t": true}}"#
         );
+    }
+
+    #[test]
+    fn pretty_spreads_only_the_root_and_object_arrays() {
+        let doc = obj([
+            ("schema", string("t/1")),
+            (
+                "meta",
+                obj([("tile", num(8u64)), ("dims", arr([num(1u64), num(2u64)]))]),
+            ),
+            ("none", arr([])),
+            (
+                "kernels",
+                arr([obj([
+                    ("kernel", string("k")),
+                    ("params", arr([arr([num(1u64)]), arr([])])),
+                    (
+                        "phases",
+                        arr([obj([("path", string("a")), ("calls", num(1u64))])]),
+                    ),
+                ])]),
+            ),
+        ]);
+        let want = r#"{
+  "schema": "t/1",
+  "meta": {"tile": 8, "dims": [1, 2]},
+  "none": [],
+  "kernels": [
+    {
+      "kernel": "k",
+      "params": [[1], []],
+      "phases": [
+        {"path": "a", "calls": 1}
+      ]
+    }
+  ]
+}"#;
+        assert_eq!(doc.to_pretty(), want);
+        assert_eq!(parse(want).unwrap(), doc);
+        // A root that holds no object array still gets a line per item;
+        // empty roots and scalars stay as they are.
+        assert_eq!(arr([num(1u64), num(2u64)]).to_pretty(), "[\n  1,\n  2\n]");
+        assert_eq!(obj([]).to_pretty(), "{}");
+        assert_eq!(Json::Null.to_pretty(), "null");
+    }
+
+    #[test]
+    fn raw_is_spliced_verbatim() {
+        let inner = obj([("rows", arr([obj([("i", num(0u64))])]))]);
+        let raw = Json::Raw(inner.to_compact().into());
+        let doc = obj([("id", num(1u64)), ("explain", raw.clone())]);
+        assert_eq!(
+            doc.to_compact(),
+            r#"{"id": 1, "explain": {"rows": [{"i": 0}]}}"#
+        );
+        assert_eq!(
+            parse(&doc.to_compact()).unwrap().get("explain"),
+            Some(&inner)
+        );
+        // One line under to_pretty too, and opaque to the accessors.
+        assert_eq!(
+            doc.to_pretty(),
+            "{\n  \"id\": 1,\n  \"explain\": {\"rows\": [{\"i\": 0}]}\n}"
+        );
+        assert!(raw.get("rows").is_none());
     }
 }

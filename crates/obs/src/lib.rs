@@ -29,8 +29,9 @@
 //!   counters;
 //! * [`Session`] / [`Profile`] — collection and rendering: a session
 //!   enables recording, a profile snapshots everything as a human table
-//!   ([`Profile::render_table`]) or stable JSON ([`Profile::to_json`],
-//!   schema `pluto-profile/3`, documented in PERFORMANCE.md);
+//!   ([`Profile::render_table`]) or a stable document
+//!   ([`Profile::to_json`], schema `pluto-profile/3`, documented in
+//!   PERFORMANCE.md);
 //! * [`decision`] — the optimizer decision log: structured events for
 //!   every hyperplane the search commits, rejects, or cuts around,
 //!   surfaced by `plutoc --explain[-json]` (`pluto-explain/1`);
@@ -43,8 +44,9 @@
 //! * [`exec`] — runtime execution metrics (wavefront load balance,
 //!   barrier wait, per-array cache attribution) aggregated into the
 //!   [`Profile::exec`] section;
-//! * [`json`] — a minimal JSON parser so tests and the bench harness can
-//!   validate emitted profiles without external crates.
+//! * [`json`] — the one JSON document model: every schema above is built
+//!   as a [`json::Json`] value and serialized by `to_compact` or
+//!   `to_pretty`; the parser reads requests and baselines.
 //!
 //! # Zero cost when disabled
 //!
@@ -71,8 +73,9 @@
 //! assert_eq!(profile.counter("ilp.pivots"), Some(3));
 //! assert_eq!(profile.phase("search/ilp").unwrap().calls, 1);
 //! // Machine-readable form, stable schema "pluto-profile/3":
-//! let j = pluto_obs::json::parse(&profile.to_json(Some("demo"))).unwrap();
+//! let j = profile.to_json(Some("demo"));
 //! assert_eq!(j.get("schema").unwrap().as_str(), Some("pluto-profile/3"));
+//! assert!(j.to_pretty().starts_with("{\n  \"schema\": \"pluto-profile/3\","));
 //! ```
 //!
 //! # Concurrency model
@@ -104,6 +107,7 @@ pub mod trace;
 pub use counters::Counter;
 pub use exec::ExecProfile;
 
+use json::{arr, num, obj, string, Json};
 use std::any::{Any, TypeId};
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -742,138 +746,55 @@ impl Profile {
         out
     }
 
-    /// Serializes the profile as JSON under the stable `pluto-profile/3`
-    /// schema (see PERFORMANCE.md). `kernel` names the compiled program
-    /// when known; `null` otherwise. Phases are sorted by path, counters
-    /// and histograms appear in registry order with zero values included
-    /// — consumers can rely on the full registries being present.
+    /// The profile as a `pluto-profile/3` document (PERFORMANCE.md §5.1).
+    /// `kernel` names the compiled program when known; `null` otherwise.
+    /// Phases are sorted by path, counters and histograms appear in
+    /// registry order with zero values included — consumers can rely on
+    /// the full registries being present.
     ///
     /// `pluto-profile/3` is a strict superset of `/2` (itself a superset
-    /// of `/1`): every v2 field is emitted unchanged and the new `hists`
+    /// of `/1`): every v2 field is emitted unchanged and the `hists`
     /// section (one object per registered latency histogram, all
     /// [`hist::NUM_BUCKETS`] log2 buckets) is purely additive, so v2
     /// consumers that ignore unknown fields keep working
     /// (`tests/profile_golden.rs` pins this compatibility).
-    pub fn to_json(&self, kernel: Option<&str>) -> String {
-        let mut out = String::from("{\n");
-        out.push_str("  \"schema\": \"pluto-profile/3\",\n");
-        match kernel {
-            Some(k) => out.push_str(&format!("  \"kernel\": {},\n", json::escape(k))),
-            None => out.push_str("  \"kernel\": null,\n"),
-        }
-        out.push_str(&format!("  \"total_ns\": {},\n", self.total_ns));
-        out.push_str("  \"phases\": [");
-        for (i, p) in self.phases.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "\n    {{\"path\": {}, \"calls\": {}, \"wall_ns\": {}}}",
-                json::escape(&p.path),
-                p.calls,
-                p.wall_ns
-            ));
-        }
-        out.push_str("\n  ],\n  \"counters\": [");
-        for (i, c) in self.counters.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "\n    {{\"name\": {}, \"value\": {}}}",
-                json::escape(c.name),
-                c.value
-            ));
-        }
-        out.push_str("\n  ],\n  \"hists\": [");
-        for (i, h) in self.hists.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let buckets: Vec<String> = h.buckets.iter().map(|b| b.to_string()).collect();
-            out.push_str(&format!(
-                "\n    {{\"name\": {}, \"count\": {}, \"sum_ns\": {}, \"buckets\": [{}]}}",
-                json::escape(h.name),
-                h.count,
-                h.sum_ns,
-                buckets.join(", ")
-            ));
-        }
-        out.push_str("\n  ],\n  \"exec\": ");
-        match &self.exec {
-            None => out.push_str("null"),
-            Some(e) => out.push_str(&exec_json(e, "  ")),
-        }
-        out.push_str("\n}\n");
-        out
+    pub fn to_json(&self, kernel: Option<&str>) -> Json {
+        obj([
+            ("schema", string("pluto-profile/3")),
+            ("kernel", kernel.map_or(Json::Null, string)),
+            ("total_ns", num(self.total_ns)),
+            ("phases", phases_json(&self.phases)),
+            (
+                "counters",
+                counters_json(self.counters.iter().map(|c| (c.name, c.value))),
+            ),
+            ("hists", hist::hists_json(&self.hists, &[])),
+            (
+                "exec",
+                self.exec.as_ref().map_or(Json::Null, ExecProfile::to_json),
+            ),
+        ])
     }
 }
 
-/// Serializes an [`ExecProfile`] as the `exec` object shared by
-/// `pluto-profile/3` and `pluto-bench-kernels/2` (PERFORMANCE.md §5).
-/// `indent` is the base indentation of the object's closing brace.
-pub fn exec_json(e: &exec::ExecProfile, indent: &str) -> String {
-    let mut out = String::from("{\n");
-    let field = |out: &mut String, last: bool, line: String| {
-        out.push_str(indent);
-        out.push_str("  ");
-        out.push_str(&line);
-        out.push_str(if last { "\n" } else { ",\n" });
-    };
-    field(&mut out, false, format!("\"dispatches\": {}", e.dispatches));
-    field(&mut out, false, format!("\"threads\": {}", e.threads));
-    field(
-        &mut out,
-        false,
-        format!(
-            "\"instances_per_thread\": [{}]",
-            e.instances_per_thread
-                .iter()
-                .map(|n| n.to_string())
-                .collect::<Vec<_>>()
-                .join(", ")
-        ),
-    );
-    field(
-        &mut out,
-        false,
-        format!("\"imbalance_mean\": {:.4}", e.imbalance_mean),
-    );
-    field(
-        &mut out,
-        false,
-        format!("\"imbalance_max\": {:.4}", e.imbalance_max),
-    );
-    field(
-        &mut out,
-        false,
-        format!("\"barrier_wait_ns\": {}", e.barrier_wait_ns),
-    );
-    let mut arrays = String::from("\"arrays\": [");
-    for (i, a) in e.arrays.iter().enumerate() {
-        if i > 0 {
-            arrays.push(',');
-        }
-        arrays.push_str(&format!(
-            "\n{indent}    {{\"name\": {}, \"accesses\": {}, \"l1_misses\": {}, \
-             \"l2_misses\": {}, \"l1_miss_rate\": {:.4}}}",
-            json::escape(&a.name),
-            a.accesses,
-            a.l1_misses,
-            a.l2_misses,
-            a.l1_miss_rate()
-        ));
-    }
-    if !e.arrays.is_empty() {
-        arrays.push('\n');
-        arrays.push_str(indent);
-        arrays.push_str("  ");
-    }
-    arrays.push(']');
-    field(&mut out, true, arrays);
-    out.push_str(indent);
-    out.push('}');
-    out
+/// The `phases` section of `pluto-profile/3`, `pluto-stats/1` and
+/// `pluto-bench-pipeline/3`: one `{path, calls, wall_ns}` per phase.
+pub fn phases_json(phases: &[Phase]) -> Json {
+    arr(phases.iter().map(|p| {
+        obj([
+            ("path", string(&*p.path)),
+            ("calls", num(p.calls)),
+            ("wall_ns", num(p.wall_ns)),
+        ])
+    }))
+}
+
+/// The `counters` section of the same three documents (and the top-5
+/// list of a `pluto-log/1` record): one `{name, value}` per counter.
+pub fn counters_json<'a>(counters: impl IntoIterator<Item = (&'a str, u64)>) -> Json {
+    arr(counters
+        .into_iter()
+        .map(|(name, value)| obj([("name", string(name)), ("value", num(value))])))
 }
 
 /// Formats nanoseconds with an adaptive unit (`ns`, `µs`, `ms`, `s`).
@@ -1094,7 +1015,7 @@ mod tests {
             counters::ILP_SOLVES.bump();
         }
         let profile = session.finish();
-        let text = profile.to_json(Some("kernel \"x\"\n"));
+        let text = profile.to_json(Some("kernel \"x\"\n")).to_pretty();
         let v = json::parse(&text).expect("emitted profile must be valid JSON");
         assert_eq!(v.get("schema").unwrap().as_str(), Some("pluto-profile/3"));
         assert_eq!(v.get("kernel").unwrap().as_str(), Some("kernel \"x\"\n"));
@@ -1117,8 +1038,7 @@ mod tests {
         let counters_j = v.get("counters").unwrap().as_array().unwrap();
         assert_eq!(counters_j.len(), counters::all().len());
         // to_json(None) emits a JSON null kernel.
-        let v2 = json::parse(&profile.to_json(None)).unwrap();
-        assert!(v2.get("kernel").unwrap().is_null());
+        assert!(profile.to_json(None).get("kernel").unwrap().is_null());
     }
 
     #[test]
@@ -1140,7 +1060,7 @@ mod tests {
         assert_eq!(e.arrays.len(), 1);
         assert_eq!(e.arrays[0].accesses, 20);
         assert_eq!(e.arrays[0].l1_misses, 6);
-        let v = json::parse(&profile.to_json(None)).unwrap();
+        let v = profile.to_json(None);
         let ej = v.get("exec").unwrap();
         assert_eq!(ej.get("dispatches").unwrap().as_u64(), Some(1));
         let arrays = ej.get("arrays").unwrap().as_array().unwrap();

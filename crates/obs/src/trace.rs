@@ -6,7 +6,7 @@
 //! *generated program* do, per thread": the machine substrate's thread
 //! teams record timestamped begin/end events into thread-owned buffers
 //! while a trace-recording session is installed, and
-//! [`Trace::to_chrome_json`] serializes them under the `trace_event/1`
+//! [`Trace::to_chrome_json`] lays them out under the `trace_event/1`
 //! schema — a Chrome Trace Event Format document (JSON Object Format)
 //! loadable in Perfetto or `chrome://tracing` (walkthrough in
 //! PERFORMANCE.md).
@@ -50,11 +50,12 @@
 //! }
 //! let trace = session.take_trace();
 //! assert_eq!(trace.events.len(), 2);
-//! let doc = pluto_obs::json::parse(&trace.to_chrome_json()).unwrap();
+//! let doc = trace.to_chrome_json();
 //! assert_eq!(doc.get("schema").unwrap().as_str(), Some("trace_event/1"));
 //! ```
 
-use crate::{json, SessionState};
+use crate::json::{arr, num, obj, string, Json};
+use crate::SessionState;
 use std::sync::Arc;
 
 /// Default per-thread buffer capacity, in events. A wavefront dispatch
@@ -249,80 +250,59 @@ impl Trace {
         tids.len()
     }
 
-    /// Serializes the trace as a Chrome Trace Event Format document
-    /// (JSON Object Format), schema `trace_event/1`:
+    /// The trace as a Chrome Trace Event Format document (JSON Object
+    /// Format), schema `trace_event/1`:
     ///
     /// * `schema` — `"trace_event/1"` (a pluto-rs extension field;
     ///   Chrome/Perfetto ignore unknown top-level keys);
     /// * `displayTimeUnit` — `"ns"`;
     /// * `traceEvents` — one object per event with the standard
     ///   `name`/`ph`/`pid`/`tid`/`ts`/`args` fields (`ts` in
-    ///   microseconds as the format requires, 3 decimal places, and
-    ///   timestamps normalized so the earliest event is `t = 0`), plus
-    ///   one `M`-phase `thread_name` metadata record per timeline so
-    ///   Perfetto labels the tracks (`coordinator`, `worker-1`, …).
+    ///   microseconds as the format requires, nanoseconds in the
+    ///   fraction, and timestamps normalized so the earliest event is
+    ///   `t = 0`), after one `M`-phase `thread_name` metadata record per
+    ///   timeline so Perfetto labels the tracks (`coordinator`,
+    ///   `worker-1`, …).
     ///
-    /// The output is strict RFC 8259 and round-trips through
-    /// [`json::parse`]; `tests/trace_golden.rs` pins the shape.
-    pub fn to_chrome_json(&self) -> String {
+    /// `tests/trace_golden.rs` pins the shape.
+    pub fn to_chrome_json(&self) -> Json {
         let t0 = self.events.iter().map(|e| e.ts_ns).min().unwrap_or(0);
-        let mut out = String::from(
-            "{\n  \"schema\": \"trace_event/1\",\n  \"displayTimeUnit\": \"ns\",\n  \
-             \"traceEvents\": [",
-        );
-        let mut first = true;
-        let mut sep = |out: &mut String| {
-            if first {
-                first = false;
-            } else {
-                out.push(',');
-            }
-            out.push_str("\n    ");
-        };
         let mut tids: Vec<u32> = self.events.iter().map(|e| e.tid).collect();
         tids.sort_unstable();
         tids.dedup();
-        for tid in &tids {
-            let label = if *tid == 0 {
+        let threads = tids.iter().map(|&tid| {
+            let label = if tid == 0 {
                 "coordinator".to_string()
             } else {
                 format!("worker-{tid}")
             };
-            sep(&mut out);
-            out.push_str(&format!(
-                "{{\"name\": \"thread_name\", \"ph\": \"M\", \"pid\": 1, \"tid\": {tid}, \
-                 \"args\": {{\"name\": {}}}}}",
-                json::escape(&label)
-            ));
-        }
-        for e in &self.events {
-            sep(&mut out);
-            // Chrome wants microseconds; keep ns resolution in the
-            // fraction.
-            let us_int = (e.ts_ns - t0) / 1_000;
-            let us_frac = (e.ts_ns - t0) % 1_000;
-            out.push_str(&format!(
-                "{{\"name\": {}, \"ph\": \"{}\", \"pid\": 1, \"tid\": {}, \"ts\": {}.{:03}",
-                json::escape(&e.name),
-                e.ph.as_str(),
-                e.tid,
-                us_int,
-                us_frac
-            ));
+            obj([
+                ("name", string("thread_name")),
+                ("ph", string("M")),
+                ("pid", num(1u8)),
+                ("tid", num(tid)),
+                ("args", obj([("name", string(label))])),
+            ])
+        });
+        let events = self.events.iter().map(|e| {
+            let mut fields = vec![
+                ("name", string(&*e.name)),
+                ("ph", string(e.ph.as_str())),
+                ("pid", num(1u8)),
+                ("tid", num(e.tid)),
+                ("ts", num((e.ts_ns - t0) as f64 / 1_000.0)),
+            ];
             if e.ph == Phase::Instant {
-                out.push_str(", \"s\": \"t\"");
+                fields.push(("s", string("t")));
             }
-            out.push_str(", \"args\": {");
-            for (i, (k, v)) in e.args.iter().enumerate() {
-                if i > 0 {
-                    out.push_str(", ");
-                }
-                out.push_str(&format!("{}: {}", json::escape(k), v));
-            }
-            out.push_str("}}");
-        }
-        out.push_str("\n  ]\n}\n");
-        out
+            fields.push(("args", obj(e.args.iter().map(|&(k, v)| (k, num(v))))));
+            obj(fields)
+        });
+        obj([
+            ("schema", string("trace_event/1")),
+            ("displayTimeUnit", string("ns")),
+            ("traceEvents", arr(threads.chain(events))),
+        ])
     }
 }
 
@@ -369,7 +349,7 @@ mod tests {
         for pair in t.events.windows(2) {
             assert!(pair[0].ts_ns <= pair[1].ts_ns);
         }
-        let doc = json::parse(&t.to_chrome_json()).expect("valid chrome trace");
+        let doc = t.to_chrome_json();
         assert_eq!(doc.get("schema").unwrap().as_str(), Some("trace_event/1"));
         let evs = doc.get("traceEvents").unwrap().as_array().unwrap();
         // 4 events + 2 thread_name metadata records.

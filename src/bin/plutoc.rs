@@ -49,7 +49,7 @@
 //! ```
 
 use pluto::Optimizer;
-use pluto_analyze::{is_clean, render_json, render_text};
+use pluto_analyze::{diagnostics_json, is_clean, render_text};
 use pluto_codegen::{generate, original_schedule, unroll_innermost};
 use pluto_frontend::ParsedUnit;
 use pluto_machine::{run_parallel, run_sequential, Arrays, ParallelConfig};
@@ -214,10 +214,7 @@ fn run() -> Result<ExitCode, String> {
     };
 
     if explain_json {
-        let doc = compiled.explain_json(&kernel);
-        pluto_obs::json::parse(&doc)
-            .map_err(|e| format!("--explain-json: emitted document is not valid JSON: {e}"))?;
-        print!("{doc}");
+        println!("{}", compiled.explain_json(&kernel).to_pretty());
     } else if do_explain {
         let optimized = &compiled.optimized;
         eprint!(
@@ -236,7 +233,7 @@ fn run() -> Result<ExitCode, String> {
         }
         let diags = compiled.audit(Some(unit.extent_rows()), shape.as_ref().ok());
         if analyze_json {
-            print!("{}", render_json(&diags));
+            println!("{}", diagnostics_json(&diags).to_pretty());
         } else {
             eprint!("{}", render_text(&diags));
         }
@@ -263,10 +260,8 @@ fn run() -> Result<ExitCode, String> {
             },
         );
         let trace = obs.take_trace();
-        let doc = trace.to_chrome_json();
-        pluto_obs::json::parse(&doc)
-            .map_err(|e| format!("--trace: emitted trace is not valid JSON: {e}"))?;
-        std::fs::write(out_path, &doc).map_err(|e| format!("cannot write `{out_path}`: {e}"))?;
+        let doc = trace.to_chrome_json().to_pretty() + "\n";
+        std::fs::write(out_path, doc).map_err(|e| format!("cannot write `{out_path}`: {e}"))?;
         eprintln!(
             "plutoc: wrote {} trace events on {} timelines to {out_path}",
             trace.events.len(),
@@ -276,7 +271,7 @@ fn run() -> Result<ExitCode, String> {
     if do_profile {
         let profile = obs.finish_profile();
         if profile_json {
-            print!("{}", profile.to_json(Some(&kernel)));
+            println!("{}", profile.to_json(Some(&kernel)).to_pretty());
         } else {
             eprint!("{}", profile.render_table());
         }

@@ -1,4 +1,4 @@
-//! `plutod` — the long-running compile service (ROADMAP item 3).
+//! `plutod` — the long-running compile service (ROADMAP item 4).
 //!
 //! Speaks `pluto-rpc/1`: one JSON request per line in, one JSON
 //! response per line out, with a `pluto-log/1` record per request on

@@ -143,7 +143,7 @@ impl Compiled<'_> {
 
     /// The `pluto-explain/1` document: schedule rows, satisfaction
     /// ledger and the search's decision events, labelled `kernel`.
-    pub fn explain_json(&self, kernel: &str) -> String {
+    pub fn explain_json(&self, kernel: &str) -> Json {
         pluto::explain_json(
             self.prog,
             &self.optimized.deps,
@@ -210,9 +210,8 @@ pub struct Scheduled<'p> {
     pub compiled: Compiled<'p>,
     /// The transformed program as OpenMP C.
     pub code: String,
-    /// The `pluto-explain/1` JSON document, labelled with the program's
-    /// name.
-    pub explain: String,
+    /// The `pluto-explain/1` document, labelled with the program's name.
+    pub explain: Json,
     /// The analyzer's findings (sorted, errors first); empty for a clean
     /// compile and when no audit was requested.
     pub diagnostics: Vec<Diagnostic>,
@@ -254,7 +253,7 @@ impl Scheduled<'_> {
 /// let deps = options.dependences(&k.program);
 /// let out = pluto_schedule(&k.program, Some(deps), &options, None)?;
 /// assert!(out.code.contains("#pragma omp parallel for"));
-/// assert!(out.explain.contains("pluto-explain/1"));
+/// assert_eq!(out.explain.get("schema").unwrap().as_str(), Some("pluto-explain/1"));
 /// assert!(out.profile.phase("optimize/search").is_some());
 /// # Ok::<(), pluto::PlutoError>(())
 /// ```

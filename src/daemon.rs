@@ -1,12 +1,12 @@
 //! The `plutod` compile service: many compiles, one process, aggregate
-//! observability (ROADMAP item 3, DESIGN.md §12).
+//! observability (ROADMAP item 4, DESIGN.md §12).
 //!
 //! [`pluto_schedule`](crate::pluto_schedule) made the compiler
 //! re-entrant — every compile runs under a private
 //! [`ObsSession`]. This module is the layer
 //! above: a [`Daemon`] that serves newline-delimited JSON requests
 //! (`pluto-rpc/1`), one compile session per request, and merges each
-//! finished session's [`Snapshot`] into a process-wide
+//! finished session's [`Profile`] into a process-wide
 //! [`ServiceMetrics`] aggregate. Three methods:
 //!
 //! * `compile` — affine C source in, transformed OpenMP C out, plus the
@@ -49,9 +49,9 @@ use crate::compile::{compile, set_option};
 use pluto::Optimizer;
 use pluto_frontend::parse_unit;
 use pluto_ir::{Dependence, Program};
-use pluto_obs::aggregate::{fnv1a, ServiceMetrics, Snapshot};
-use pluto_obs::json::{self, Json};
-use pluto_obs::{ObsSession, Profile};
+use pluto_obs::aggregate::{fnv1a, ServiceMetrics};
+use pluto_obs::json::{self, arr, num, obj, string, Json};
+use pluto_obs::{counters_json, ObsSession, Profile};
 use std::collections::{HashMap, VecDeque};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
@@ -141,8 +141,9 @@ impl ContentKey {
 struct Entry {
     kernel: String,
     code: String,
-    /// The `pluto-explain/1` document, already compacted to one line.
-    explain: String,
+    /// The `pluto-explain/1` document as `to_compact` text, spliced into
+    /// every response that serves this entry ([`Json::Raw`]).
+    explain: Arc<str>,
 }
 
 /// The bounded two-level schedule cache (interior of
@@ -314,20 +315,21 @@ impl Daemon {
         match method.as_str() {
             "compile" => self.handle_compile(id, &request, start),
             "stats" => {
-                let doc = self
-                    .metrics
-                    .stats_json(self.cache_len(), self.cache.lock().unwrap().cap);
-                let stats = json::parse(&doc).expect("stats_json emits valid JSON");
+                let (entries, capacity) = {
+                    let cache = self.cache.lock().expect("schedule cache poisoned");
+                    (cache.len(), cache.cap)
+                };
+                let stats = self.metrics.stats_json(entries, capacity);
                 self.finish(id, "stats", start, Ok(stats), None)
             }
             "health" => {
-                let health = obj(vec![
-                    ("status", Json::String("ok".to_string())),
-                    ("uptime_ns", num(self.started.elapsed().as_nanos() as u64)),
+                let health = obj([
+                    ("status", string("ok")),
+                    ("uptime_ns", num(self.started.elapsed().as_nanos())),
                     ("requests", num(self.metrics.requests())),
                     ("errors", num(self.metrics.errors())),
-                    ("pool_workers", num(pluto_pool::spawn_count() as u64)),
-                    ("cache_entries", num(self.cache_len() as u64)),
+                    ("pool_workers", num(pluto_pool::spawn_count())),
+                    ("cache_entries", num(self.cache_len())),
                 ]);
                 self.finish(id, "health", start, Ok(health), None)
             }
@@ -388,7 +390,7 @@ impl Daemon {
             Ok(compiled) => {
                 // The aggregation invariant lives here: the service
                 // absorbs exactly the profile the client is handed.
-                self.metrics.record(&Snapshot::of(&profile));
+                self.metrics.record(&profile);
                 if compiled.cache_hit {
                     self.metrics.record_cache_hit();
                 } else {
@@ -401,7 +403,13 @@ impl Daemon {
                     profile,
                     entry: compiled.entry,
                 };
-                self.finish(id, "compile", start, Ok(detail.result_json()), Some(detail))
+                self.finish(
+                    id,
+                    "compile",
+                    start,
+                    Ok(detail.result_json()),
+                    Some(&detail),
+                )
             }
             Err(e) => {
                 self.metrics.record_error();
@@ -443,13 +451,10 @@ impl Daemon {
         }
         let compiled = compile(&prog, Some(deps), optimizer)
             .map_err(|e| format!("transformation failed: {e}"))?;
-        let explain = json::parse(&compiled.explain_json(&prog.name))
-            .expect("explain_json emits valid JSON")
-            .to_compact();
         let entry = Arc::new(Entry {
             kernel: prog.name.clone(),
             code: compiled.code(),
-            explain,
+            explain: compiled.explain_json(&prog.name).to_compact().into(),
         });
         let evicted = self.cache.lock().expect("schedule cache poisoned").insert(
             source_key,
@@ -474,80 +479,53 @@ impl Daemon {
         method: &str,
         start: Instant,
         outcome: Result<Json, String>,
-        detail: Option<CompileDetail>,
+        detail: Option<&CompileDetail>,
     ) -> Handled {
-        let wall_ns = start.elapsed().as_nanos() as u64;
-        let ok = outcome.is_ok();
-        let response = match &outcome {
-            Ok(result) => obj(vec![
-                ("schema", Json::String("pluto-rpc/1".to_string())),
-                ("id", id.clone()),
-                ("ok", Json::Bool(true)),
-                ("result", result.clone()),
-            ]),
-            Err(e) => obj(vec![
-                ("schema", Json::String("pluto-rpc/1".to_string())),
-                ("id", id.clone()),
-                ("ok", Json::Bool(false)),
-                ("error", Json::String(e.clone())),
-            ]),
-        };
-
+        let wall_ns = start.elapsed().as_nanos();
         let mut log_fields = vec![
-            ("schema", Json::String("pluto-log/1".to_string())),
-            ("id", id),
-            ("method", Json::String(method.to_string())),
+            ("schema", string("pluto-log/1")),
+            ("id", id.clone()),
+            ("method", string(method)),
             (
                 "status",
-                Json::String(if ok { "ok" } else { "error" }.to_string()),
+                string(if outcome.is_ok() { "ok" } else { "error" }),
             ),
             ("wall_ns", num(wall_ns)),
         ];
-        if let Some(d) = &detail {
-            log_fields.push(("kernel", Json::String(d.kernel.clone())));
-            log_fields.push(("kernel_fnv", Json::String(format!("{:016x}", d.source_fnv))));
-            log_fields.push((
-                "cache",
-                Json::String(if d.cache_hit { "hit" } else { "miss" }.to_string()),
-            ));
-            log_fields.push((
-                "phases",
-                Json::Array(
-                    d.profile
-                        .phases
-                        .iter()
-                        .map(|p| {
-                            obj(vec![
-                                ("path", Json::String(p.path.clone())),
-                                ("wall_ns", num(p.wall_ns as u64)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ));
+        if let Some(d) = detail {
+            let phases = d
+                .profile
+                .phases
+                .iter()
+                .map(|p| obj([("path", string(&*p.path)), ("wall_ns", num(p.wall_ns))]));
             // The request's heaviest counters, largest first — enough to
             // see at a glance where a slow compile spent its work.
             let mut top: Vec<_> = d.profile.counters.iter().filter(|c| c.value > 0).collect();
             top.sort_by(|a, b| b.value.cmp(&a.value).then(a.name.cmp(b.name)));
-            log_fields.push((
-                "counters",
-                Json::Array(
-                    top.iter()
-                        .take(5)
-                        .map(|c| {
-                            obj(vec![
-                                ("name", Json::String(c.name.to_string())),
-                                ("value", num(c.value)),
-                            ])
-                        })
-                        .collect(),
+            log_fields.extend([
+                ("kernel", string(&*d.kernel)),
+                ("kernel_fnv", d.kernel_fnv()),
+                ("cache", d.cache()),
+                ("phases", arr(phases)),
+                (
+                    "counters",
+                    counters_json(top.iter().take(5).map(|c| (c.name, c.value))),
                 ),
-            ));
+            ]);
         }
-        if let Err(e) = &outcome {
-            log_fields.push(("error", Json::String(e.clone())));
-        }
-
+        let (ok, payload) = match outcome {
+            Ok(result) => (true, ("result", result)),
+            Err(e) => {
+                log_fields.push(("error", string(&*e)));
+                (false, ("error", string(e)))
+            }
+        };
+        let response = obj([
+            ("schema", string("pluto-rpc/1")),
+            ("id", id),
+            ("ok", Json::Bool(ok)),
+            payload,
+        ]);
         Handled {
             response: response.to_compact(),
             log: obj(log_fields).to_compact(),
@@ -566,36 +544,22 @@ struct CompileDetail {
 }
 
 impl CompileDetail {
+    fn kernel_fnv(&self) -> Json {
+        string(format!("{:016x}", self.source_fnv))
+    }
+
+    fn cache(&self) -> Json {
+        string(if self.cache_hit { "hit" } else { "miss" })
+    }
+
     fn result_json(&self) -> Json {
-        let profile = json::parse(&self.profile.to_json(Some(&self.kernel)))
-            .expect("Profile::to_json emits valid JSON");
-        let explain = json::parse(&self.entry.explain).expect("cached explain is valid JSON");
-        obj(vec![
-            ("kernel", Json::String(self.kernel.clone())),
-            (
-                "kernel_fnv",
-                Json::String(format!("{:016x}", self.source_fnv)),
-            ),
-            (
-                "cache",
-                Json::String(if self.cache_hit { "hit" } else { "miss" }.to_string()),
-            ),
-            ("code", Json::String(self.entry.code.clone())),
-            ("profile", profile),
-            ("explain", explain),
+        obj([
+            ("kernel", string(&*self.kernel)),
+            ("kernel_fnv", self.kernel_fnv()),
+            ("cache", self.cache()),
+            ("code", string(&*self.entry.code)),
+            ("profile", self.profile.to_json(Some(&self.kernel))),
+            ("explain", Json::Raw(self.entry.explain.clone())),
         ])
     }
-}
-
-fn obj(fields: Vec<(&str, Json)>) -> Json {
-    Json::Object(
-        fields
-            .into_iter()
-            .map(|(k, v)| (k.to_string(), v))
-            .collect(),
-    )
-}
-
-fn num(n: u64) -> Json {
-    Json::Number(n as f64)
 }

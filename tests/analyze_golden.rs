@@ -315,3 +315,52 @@ fn lints_report_warnings_not_errors() {
         pluto_analyze::render_text(&diags)
     );
 }
+
+/// `plutoc --analyze-json` prints the array the hand-written emitter of
+/// PR 14 printed, key order included: the three shipped examples (all
+/// clean, so `[]`) and an out-of-bounds source whose two errors carry
+/// ILP witnesses.
+#[test]
+fn analyze_json_equals_the_parent_fixtures() {
+    use pluto_obs::json::parse;
+    let dir = env!("CARGO_MANIFEST_DIR");
+    let tile32: &[&str] = &["--tile", "32"];
+    for (source, flags, fixture) in [
+        (
+            "examples/jacobi-1d.c",
+            tile32,
+            include_str!("fixtures/jacobi-1d.analyze.json"),
+        ),
+        (
+            "examples/matmul.c",
+            tile32,
+            include_str!("fixtures/matmul.analyze.json"),
+        ),
+        (
+            "examples/seidel-2d.c",
+            tile32,
+            include_str!("fixtures/seidel-2d.analyze.json"),
+        ),
+        (
+            "tests/fixtures/oob.c",
+            &["--notile"],
+            include_str!("fixtures/oob.analyze.json"),
+        ),
+    ] {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_plutoc"))
+            .args(flags)
+            .args(["--threads", "1", "--analyze-json"])
+            .arg(format!("{dir}/{source}"))
+            .output()
+            .expect("plutoc runs");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        let doc = parse(&stdout).unwrap_or_else(|e| panic!("{source}: {e}\n{stdout}"));
+        assert_eq!(
+            doc,
+            parse(fixture).unwrap(),
+            "{source}: diagnostics drifted"
+        );
+        let errors = fixture.contains("\"severity\": \"error\"");
+        assert_eq!(out.status.success(), !errors, "{source}: exit code");
+    }
+}

@@ -367,8 +367,8 @@ fn transposed_access_triggers_pl013_stride_lint() {
 }
 
 /// Schema compatibility: every stable code — including the new
-/// PL008–PL013 block — renders into valid `pluto-analysis/1` JSON with
-/// its full identifier.
+/// PL008–PL013 block — lands in the `--analyze-json` array under its
+/// full identifier.
 #[test]
 fn render_json_covers_all_codes() {
     let codes = [
@@ -393,9 +393,10 @@ fn render_json_covers_all_codes() {
     for (code, s) in codes {
         assert_eq!(code.as_str(), s, "stable identifier changed");
     }
-    let doc = pluto_analyze::render_json(&diags);
-    pluto_obs::json::parse(&doc).expect("render_json must emit valid JSON");
-    for (_, s) in codes {
-        assert!(doc.contains(s), "JSON document must carry {s}");
+    let doc = pluto_analyze::diagnostics_json(&diags);
+    let items = doc.as_array().expect("an array of diagnostics");
+    assert_eq!(items.len(), codes.len());
+    for (item, (_, s)) in items.iter().zip(codes) {
+        assert_eq!(item.get("code").unwrap().as_str(), Some(s));
     }
 }

@@ -6,68 +6,34 @@
 //! decision log, and emptiness-cache store are private by construction —
 //! a concurrent neighbour can neither inflate a counter nor interleave a
 //! decision event. The explain document (schedule rows, satisfaction
-//! ledger, decision events) must be **bit-identical** across runs; the
+//! ledger, decision events) must be **equal** across runs; the
 //! profile document is compared after zeroing wall-clock fields
 //! (`total_ns`, per-phase `wall_ns`, histogram `sum_ns`/bucket
 //! positions), since time itself is the one thing a loaded machine is
 //! allowed to change — the *counts* (phase calls, all 24 counters,
 //! histogram sample totals) must match exactly.
 
+mod common;
+
 use pluto::Optimizer;
 use pluto_frontend::kernels;
 use pluto_ir::Program;
+use pluto_obs::json::Json;
 use pluto_repro::pluto_schedule;
 use std::sync::Barrier;
 
 /// One full library compile of `prog` under a private session, returning
-/// the (normalized profile, explain) document pair.
-fn compile(name: &str, prog: &Program) -> (String, String) {
+/// the (timing-zeroed profile, explain) document pair.
+fn compile(name: &str, prog: &Program) -> (Json, Json) {
     // Serial dependence analysis (the `Optimizer` default) keeps the
     // session's cache hit/miss counters deterministic: with a worker
     // team, two workers can race to the same canonical key and both
     // miss, which is correct but scheduling-dependent.
     let out = pluto_schedule(prog, None, &Optimizer::new().tile_size(8), None)
         .unwrap_or_else(|e| panic!("{name}: compile failed: {e:?}"));
-    (
-        normalize_profile(&out.profile.to_json(Some(name))),
-        out.explain,
-    )
-}
-
-/// Zeroes the digits following `"key": ` everywhere in `line`.
-fn zero_field(line: &str, key: &str) -> String {
-    let needle = format!("\"{key}\": ");
-    let mut out = String::new();
-    let mut rest = line;
-    while let Some(i) = rest.find(&needle) {
-        let after = i + needle.len();
-        out.push_str(&rest[..after]);
-        out.push('0');
-        rest = rest[after..].trim_start_matches(|c: char| c.is_ascii_digit());
-    }
-    out.push_str(rest);
-    out
-}
-
-/// Strips the timing content from a `pluto-profile/3` document, keeping
-/// every deterministic field: phase paths and call counts, counter
-/// values, histogram names and sample counts.
-fn normalize_profile(doc: &str) -> String {
-    doc.lines()
-        .map(|line| {
-            let mut l = zero_field(line, "total_ns");
-            l = zero_field(&l, "wall_ns");
-            l = zero_field(&l, "sum_ns");
-            // A histogram sample's bucket is its latency's log2 — a
-            // loaded machine legitimately shifts samples between
-            // buckets, so only the total (the `count` field) is pinned.
-            if let (Some(i), Some(j)) = (l.find("\"buckets\": ["), l.rfind(']')) {
-                l = format!("{}{}", &l[..i + "\"buckets\": [".len()], &l[j..]);
-            }
-            l
-        })
-        .collect::<Vec<_>>()
-        .join("\n")
+    let mut profile = out.profile.to_json(Some(name));
+    common::zero_timing(&mut profile);
+    (profile, out.explain)
 }
 
 /// ISSUE 9 acceptance: per-compile profile/explain JSON from N ≥ 8
@@ -78,14 +44,14 @@ fn concurrent_compiles_match_serial_documents() {
     assert!(all.len() >= 8, "stress test wants at least 8 kernels");
 
     // Serial reference pass: one compile at a time.
-    let serial: Vec<(String, String)> = all
+    let serial: Vec<(Json, Json)> = all
         .iter()
         .map(|(name, k)| compile(name, &k.program))
         .collect();
 
     // Concurrent pass: every kernel on its own thread, released together.
     let barrier = Barrier::new(all.len());
-    let concurrent: Vec<(String, String)> = std::thread::scope(|scope| {
+    let concurrent: Vec<(Json, Json)> = std::thread::scope(|scope| {
         let handles: Vec<_> = all
             .iter()
             .map(|(name, k)| {
@@ -111,19 +77,15 @@ fn concurrent_compiles_match_serial_documents() {
         );
     }
 
-    // And the documents are self-consistent: valid JSON, stable schemas.
+    // And the documents carry their stable schemas.
     for ((name, _), (profile, explain)) in all.iter().zip(&serial) {
-        let p = pluto_obs::json::parse(profile)
-            .unwrap_or_else(|e| panic!("{name}: profile JSON invalid: {e}"));
         assert_eq!(
-            p.get("schema").unwrap().as_str(),
+            profile.get("schema").unwrap().as_str(),
             Some("pluto-profile/3"),
             "{name}: profile schema drifted"
         );
-        let e = pluto_obs::json::parse(explain)
-            .unwrap_or_else(|e| panic!("{name}: explain JSON invalid: {e}"));
         assert_eq!(
-            e.get("schema").unwrap().as_str(),
+            explain.get("schema").unwrap().as_str(),
             Some("pluto-explain/1"),
             "{name}: explain schema drifted"
         );

@@ -296,9 +296,18 @@ fn rpc_compile_response_schema_is_stable() {
 #[test]
 fn rpc_error_responses_keep_schema() {
     let daemon = Daemon::new();
+    // What a hostile client sends: 200 000 unclosed brackets used to
+    // overflow the parser's stack and abort the process.
+    let deep = "[".repeat(200_000);
     // (request line, expected error fragment)
     let cases: &[(&str, &str)] = &[
         ("{not json", "bad JSON"),
+        (&deep, "bad JSON"),
+        // Overflows f64: was echoed back as `"id": inf`, which is not JSON.
+        (
+            r#"{"id": 1e999, "method": "health"}"#,
+            "number out of range",
+        ),
         (r#"{"id": 1}"#, "missing `method`"),
         (r#"{"id": 2, "method": "reticulate"}"#, "unknown method"),
         (
@@ -320,6 +329,7 @@ fn rpc_error_responses_keep_schema() {
     ];
     for (line, fragment) in cases {
         let (resp, log) = roundtrip(&daemon, line);
+        let line = &line[..line.len().min(80)]; // what a failure prints
         assert_eq!(get_str(&resp, "schema"), "pluto-rpc/1", "{line}");
         assert_eq!(get(&resp, "ok").as_bool(), Some(false), "{line}");
         let error = get_str(&resp, "error");
@@ -327,6 +337,10 @@ fn rpc_error_responses_keep_schema() {
         assert_eq!(get_str(&log, "status"), "error", "{line}");
         assert!(get_str(&log, "error").contains(fragment), "{line}");
     }
+    // The service stays up: the same daemon still answers.
+    let (resp, _) = roundtrip(&daemon, r#"{"id": 7, "method": "health"}"#);
+    assert_eq!(get(&resp, "ok").as_bool(), Some(true));
+    assert_eq!(get_str(get(&resp, "result"), "status"), "ok");
     // Only *compile* failures count as service errors; protocol noise
     // (bad JSON, unknown methods) is answered but not aggregated.
     assert_eq!(daemon.metrics().errors(), 4);

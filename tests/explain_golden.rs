@@ -263,17 +263,30 @@ fn explain_json_conflicts_with_other_json_flags() {
 /// The ledger-agreement gate: `--analyze` re-proves every positive
 /// satisfaction claim of the same decision log the explain document
 /// serializes (PL007). A clean exit means the telemetry and the
-/// independent derivation agree on every shipped example.
+/// independent derivation agree on every shipped example. The document
+/// itself equals, key order included, the one the hand-written emitter
+/// of PR 14 printed for `plutoc --tile 32 --threads 1 --explain-json`.
 #[test]
 fn explain_ledger_agrees_with_the_analyzer() {
-    for kernel in ["seidel-2d", "jacobi-1d", "matmul"] {
-        let (stdout, stderr, ok) = plutoc(&["--explain-json", "--analyze", &example(kernel)]);
+    for (kernel, fixture) in [
+        ("seidel-2d", include_str!("fixtures/seidel-2d.explain.json")),
+        ("jacobi-1d", include_str!("fixtures/jacobi-1d.explain.json")),
+        ("matmul", include_str!("fixtures/matmul.explain.json")),
+    ] {
+        let path = example(kernel);
+        let args = ["--tile", "32", "--threads", "1", "--explain-json"];
+        let (stdout, stderr, ok) = plutoc(&[&args[..], &["--analyze", &path]].concat());
         assert!(ok, "{kernel}: analyzer must be clean:\n{stderr}");
         let doc = json::parse(&stdout).expect("valid JSON");
         assert_eq!(doc.get("schema").unwrap().as_str(), Some("pluto-explain/1"));
         assert!(
             !stderr.contains("PL007"),
             "{kernel}: ledger divergence reported:\n{stderr}"
+        );
+        assert_eq!(
+            doc,
+            json::parse(fixture).unwrap(),
+            "{kernel}: pluto-explain/1 drifted from its fixture"
         );
     }
 }

@@ -28,6 +28,7 @@ use pluto::{explain_json, find_transformation, Optimizer, PlutoOptions};
 use pluto_frontend::kernels;
 use pluto_ir::Program;
 use pluto_obs::decision::DecisionEvent;
+use pluto_obs::json::Json;
 use pluto_obs::ObsSession;
 use pluto_repro::compile::{compile, disable_solver_shortcuts};
 use testkit::kernelgen::{build, gen_spec, GenConfig};
@@ -36,7 +37,7 @@ use testkit::Rng;
 /// One full compile at tile size 8 (the plutoc default), returning every
 /// artifact the differential compares: dependence fingerprint, explain
 /// document (transformation + ledger + decision events), and C output.
-fn compile_one(name: &str, prog: &Program, shortcuts: bool) -> (String, String, String) {
+fn compile_one(name: &str, prog: &Program, shortcuts: bool) -> (String, Json, String) {
     // Each compile runs under its own session: its decision log and its
     // emptiness-cache store (and the cache on/off toggle) are private to
     // this call, so cached and uncached compiles can't contaminate each
@@ -94,7 +95,7 @@ fn shortcuts_are_output_invariant_on_all_example_kernels() {
 /// emptiness cache and the dependence set are the same on both sides):
 /// schedule rows, satisfaction ledger, and the explain document with
 /// every decision event — replayed `farkas_eliminated` ones included.
-fn search_one(prog: &Program, shortcuts: bool) -> Result<(String, String, String), String> {
+fn search_one(prog: &Program, shortcuts: bool) -> Result<(String, String, Json), String> {
     let obs = ObsSession::builder().decisions().build();
     let _guard = obs.install();
     let deps = Optimizer::new().dependences(prog);

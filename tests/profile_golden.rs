@@ -7,6 +7,8 @@
 //! (v2 added `exec`, v3 added `hists`); the v1/v2-consumer compat
 //! tests pin that.
 
+mod common;
+
 use pluto_repro::obs::{counters, hist, json};
 use std::io::Write as _;
 use std::process::{Command, Stdio};
@@ -170,10 +172,19 @@ fn profile_json_schema_is_stable_on_stdin() {
 #[test]
 fn profile_json_works_on_the_shipped_examples() {
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/examples/jacobi-1d.c");
-    let (stdout, _stderr, ok) = plutoc(&["--profile-json", path], "");
+    // `--threads 1`: serial dependence analysis, so every counter repeats.
+    let args = ["--tile", "32", "--threads", "1", "--profile-json", path];
+    let (stdout, _stderr, ok) = plutoc(&args, "");
     assert!(ok);
-    let doc = json::parse(&stdout).expect("valid JSON");
+    let mut doc = json::parse(&stdout).expect("valid JSON");
     assert_profile_shape(&doc, "jacobi-1d");
+    // The document equals the one the hand-written emitter of PR 14
+    // printed for the same command, key order included, once the clock's
+    // share is zeroed.
+    let mut fixture = json::parse(include_str!("fixtures/jacobi-1d.profile.json")).unwrap();
+    common::zero_timing(&mut doc);
+    common::zero_timing(&mut fixture);
+    assert_eq!(doc, fixture, "pluto-profile/3 drifted from its fixture");
 }
 
 #[test]
@@ -254,6 +265,7 @@ fn audited_schedule_returns_a_populated_profile() {
     assert!(p.phase("analyze").is_some());
     assert!(p.counter("ilp.solves").unwrap() > 0);
     assert_eq!(p.counters.len(), counters::all().len());
-    // The JSON round-trips through the in-tree parser.
-    assert!(json::parse(&p.to_json(None)).is_ok());
+    // The document round-trips through the in-tree parser.
+    let doc = p.to_json(None);
+    assert_eq!(json::parse(&doc.to_pretty()).unwrap(), doc);
 }

@@ -1,11 +1,12 @@
-//! Property tests for the polyhedral substrates: exact arithmetic,
-//! Fourier–Motzkin projection, and the lexmin ILP solver.
+//! Property tests for the substrates: exact arithmetic, Fourier–Motzkin
+//! projection, the lexmin ILP solver, and the JSON document model.
 //!
 //! Runs on the hermetic `testkit` harness: every failure message carries
 //! the case seed, and `TESTKIT_SEED=<n> TESTKIT_CASES=1` replays it.
 
 use pluto_ilp::IlpProblem;
 use pluto_linalg::Ratio;
+use pluto_obs::json::{self, Json, MAX_DEPTH};
 use pluto_poly::ConstraintSet;
 use testkit::prop::{check, shrink_vec, Config};
 use testkit::Rng;
@@ -298,6 +299,203 @@ fn lexmin_is_minimal_feasible() {
             } else {
                 Err(format!("lexmin {got:?} != enumerated {best:?}"))
             }
+        },
+    );
+}
+
+/// A random string over the characters the escaper has to get right.
+fn gen_string(rng: &mut Rng) -> String {
+    const ALPHABET: &[char] = &[
+        'a', 'Z', '0', ' ', '"', '\\', '/', '\n', '\r', '\t', '\u{0}', '\u{7}', '\u{1f}', '\u{7f}',
+        'é', 'µ', '\u{2028}', '😀', ':', ',', '{', '[',
+    ];
+    (0..rng.range_usize(0, 6))
+        .map(|_| *rng.choose(ALPHABET))
+        .collect()
+}
+
+fn gen_number(rng: &mut Rng) -> f64 {
+    let sign = if rng.bool() { 1.0 } else { -1.0 };
+    match rng.below(5) {
+        0 => sign * 0.0, // 0 and -0
+        1 => sign * rng.below((1 << 53) + 1) as f64,
+        2 => rng.range_i64(-1_000_000, 1_000_000) as f64 / 1000.0,
+        3 => sign * rng.f64(),
+        _ => sign * rng.f64() * 10f64.powi(rng.range_i64(-20, 20) as i32),
+    }
+}
+
+/// A random tree at most `depth` containers deep.
+fn gen_json(rng: &mut Rng, depth: usize) -> Json {
+    let kinds = if depth == 0 { 4 } else { 6 };
+    match rng.below(kinds) {
+        0 => Json::Null,
+        1 => Json::Bool(rng.bool()),
+        2 => Json::Number(gen_number(rng)),
+        3 => Json::String(gen_string(rng)),
+        4 => Json::Array(
+            (0..rng.range_usize(0, 3))
+                .map(|_| gen_json(rng, depth - 1))
+                .collect(),
+        ),
+        _ => Json::Object(
+            (0..rng.range_usize(0, 3))
+                .map(|_| (gen_string(rng), gen_json(rng, depth - 1)))
+                .collect(),
+        ),
+    }
+}
+
+fn json_depth(v: &Json) -> usize {
+    match v {
+        Json::Array(items) => 1 + items.iter().map(json_depth).max().unwrap_or(0),
+        Json::Object(fields) => 1 + fields.iter().map(|(_, x)| json_depth(x)).max().unwrap_or(0),
+        _ => 0,
+    }
+}
+
+/// A tree of depth ≤ 4; one case in eight is wrapped in single-item
+/// containers until it is exactly as deep as the parser accepts.
+fn gen_document(rng: &mut Rng) -> Json {
+    let mut v = gen_json(rng, 4);
+    if rng.chance(1, 8) {
+        for _ in json_depth(&v)..MAX_DEPTH {
+            v = if rng.bool() {
+                Json::Array(vec![v])
+            } else {
+                Json::Object(vec![(gen_string(rng), v)])
+            };
+        }
+    }
+    v
+}
+
+/// Children, then the container with one item dropped.
+fn shrink_json(v: &Json) -> Vec<Json> {
+    match v {
+        Json::Array(items) => {
+            let mut out = items.clone();
+            out.extend((0..items.len()).map(|i| {
+                let mut rest = items.clone();
+                rest.remove(i);
+                Json::Array(rest)
+            }));
+            out
+        }
+        Json::Object(fields) => {
+            let mut out: Vec<Json> = fields.iter().map(|(_, x)| x.clone()).collect();
+            out.extend((0..fields.len()).map(|i| {
+                let mut rest = fields.clone();
+                rest.remove(i);
+                Json::Object(rest)
+            }));
+            out
+        }
+        _ => vec![],
+    }
+}
+
+/// `to_pretty`'s rule, stated by the test: does `v` hold an array with an
+/// object in it?
+fn holds_object_array(v: &Json) -> bool {
+    match v {
+        Json::Array(items) => items
+            .iter()
+            .any(|x| matches!(x, Json::Object(_)) || holds_object_array(x)),
+        Json::Object(fields) => fields.iter().any(|(_, x)| holds_object_array(x)),
+        _ => false,
+    }
+}
+
+/// How many lines the rule gives `v`: one, unless it is a non-empty
+/// root or holds an object array — then a line per bracket plus its
+/// items' lines.
+fn pretty_lines(v: &Json, root: bool) -> usize {
+    let items: Vec<&Json> = match v {
+        Json::Array(items) => items.iter().collect(),
+        Json::Object(fields) => fields.iter().map(|(_, x)| x).collect(),
+        _ => vec![],
+    };
+    if items.is_empty() || !(root || holds_object_array(v)) {
+        1
+    } else {
+        2 + items.iter().map(|x| pretty_lines(x, false)).sum::<usize>()
+    }
+}
+
+/// Checks `text` line by line against the rule: two spaces of indent per
+/// open bracket, and every line that is not a bracket is one whole value
+/// (or `"key": value`) in `to_compact`'s form holding no object array.
+fn check_pretty_layout(text: &str) -> Result<(), String> {
+    let mut open = 0usize;
+    for line in text.lines() {
+        let body = line.trim_start_matches(' ');
+        let body = body.strip_suffix(',').unwrap_or(body);
+        if body == "}" || body == "]" {
+            open -= 1;
+        }
+        if line.len() - line.trim_start_matches(' ').len() != 2 * open {
+            return Err(format!("indent of {line:?} is not {}", 2 * open));
+        }
+        if body.ends_with('{') || body.ends_with('[') {
+            open += 1;
+        } else if body != "}" && body != "]" {
+            let value = match json::parse(body) {
+                Ok(v) => v,
+                Err(_) => match json::parse(&format!("{{{body}}}")) {
+                    Ok(Json::Object(mut member)) if member.len() == 1 => member.remove(0).1,
+                    _ => return Err(format!("line {body:?} is not a value or a member")),
+                },
+            };
+            if holds_object_array(&value) {
+                return Err(format!("{body:?} holds an object array on one line"));
+            }
+            if !body.ends_with(&value.to_compact()) {
+                return Err(format!("{body:?} is not in to_compact's form"));
+            }
+        }
+    }
+    Ok(())
+}
+
+/// Both serializers write what the parser reads back as the same value,
+/// `to_pretty` lays it out by its one rule, and a `Raw` splice of
+/// `to_compact` output is indistinguishable from the value itself.
+#[test]
+fn json_serializers_round_trip() {
+    check(
+        &Config::with_cases(512).from_env(),
+        "json_serializers_round_trip",
+        gen_document,
+        shrink_json,
+        |v| {
+            let compact = v.to_compact();
+            let pretty = v.to_pretty();
+            if compact.contains('\n') {
+                return Err(format!("to_compact wrote a newline: {compact:?}"));
+            }
+            for (name, text) in [("to_compact", &compact), ("to_pretty", &pretty)] {
+                match json::parse(text) {
+                    Ok(back) if back == *v => {}
+                    Ok(back) => return Err(format!("{name}: {text}\nparsed back as {back:?}")),
+                    Err(e) => return Err(format!("{name}: {text}\ndoes not parse: {e}")),
+                }
+            }
+            let lines = pretty.lines().count();
+            if lines != pretty_lines(v, true) {
+                return Err(format!(
+                    "to_pretty used {lines} lines, the rule gives {}:\n{pretty}",
+                    pretty_lines(v, true)
+                ));
+            }
+            check_pretty_layout(&pretty).map_err(|e| format!("{e}:\n{pretty}"))?;
+            let raw = Json::Raw(compact.clone().into());
+            for text in [raw.to_compact(), raw.to_pretty()] {
+                if json::parse(&text).as_ref() != Ok(v) {
+                    return Err(format!("Raw splice of {compact} reads back differently"));
+                }
+            }
+            Ok(())
         },
     );
 }

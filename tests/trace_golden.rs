@@ -21,30 +21,28 @@ fn parser_handles_escaped_strings() {
         v.get("k").unwrap().as_str(),
         Some("quote \" backslash \\ slash / tab \t nl \n unicode é 😀")
     );
-    // escape() round-trips control characters and non-ASCII.
-    let nasty = "a\"b\\c\u{0007}d\né";
-    let quoted = json::escape(nasty);
-    let back = json::parse(&format!("{{\"k\": {quoted}}}")).unwrap();
-    assert_eq!(back.get("k").unwrap().as_str(), Some(nasty));
 }
 
 #[test]
 fn parser_handles_deep_nesting() {
-    // 300 levels of arrays around one number, then 300 levels of
-    // single-key objects.
-    let deep_array = format!("{}1{}", "[".repeat(300), "]".repeat(300));
+    // As deep as the parser goes: MAX_DEPTH levels of arrays around one
+    // number, then as many single-key objects. One level more is a
+    // ParseError (`nesting_is_capped` in json.rs).
+    let depth = json::MAX_DEPTH;
+    let deep_array = format!("{}1{}", "[".repeat(depth), "]".repeat(depth));
     let mut v = &json::parse(&deep_array).expect("deep arrays parse");
-    for _ in 0..300 {
+    for _ in 0..depth {
         v = &v.as_array().expect("array level")[0];
     }
     assert_eq!(v.as_u64(), Some(1));
 
-    let deep_obj = format!("{}0{}", "{\"x\":".repeat(300), "}".repeat(300));
+    let deep_obj = format!("{}0{}", "{\"x\":".repeat(depth), "}".repeat(depth));
     let mut v = &json::parse(&deep_obj).expect("deep objects parse");
-    for _ in 0..300 {
+    for _ in 0..depth {
         v = v.get("x").expect("object level");
     }
     assert_eq!(v.as_u64(), Some(0));
+    assert!(json::parse(&format!("[{deep_array}]")).is_err());
 }
 
 #[test]
@@ -93,25 +91,25 @@ const GOLDEN: &str = r#"{
   "traceEvents": [
     {"name": "thread_name", "ph": "M", "pid": 1, "tid": 0, "args": {"name": "coordinator"}},
     {"name": "thread_name", "ph": "M", "pid": 1, "tid": 1, "args": {"name": "worker-1"}},
-    {"name": "c1", "ph": "B", "pid": 1, "tid": 0, "ts": 0.000, "args": {"items": 4, "threads": 2}},
-    {"name": "c1", "ph": "B", "pid": 1, "tid": 1, "ts": 0.500, "args": {"items": 2}},
-    {"name": "c1", "ph": "E", "pid": 1, "tid": 1, "ts": 1.500, "args": {"instances": 2}},
-    {"name": "trace.dropped", "ph": "i", "pid": 1, "tid": 1, "ts": 1.600, "s": "t", "args": {"events": 1}},
-    {"name": "c1", "ph": "E", "pid": 1, "tid": 0, "ts": 2.000, "args": {"instances": 4}}
+    {"name": "c1", "ph": "B", "pid": 1, "tid": 0, "ts": 0, "args": {"items": 4, "threads": 2}},
+    {"name": "c1", "ph": "B", "pid": 1, "tid": 1, "ts": 0.5, "args": {"items": 2}},
+    {"name": "c1", "ph": "E", "pid": 1, "tid": 1, "ts": 1.5, "args": {"instances": 2}},
+    {"name": "trace.dropped", "ph": "i", "pid": 1, "tid": 1, "ts": 1.6, "s": "t", "args": {"events": 1}},
+    {"name": "c1", "ph": "E", "pid": 1, "tid": 0, "ts": 2, "args": {"instances": 4}}
   ]
-}
-"#;
+}"#;
 
 #[test]
 fn chrome_trace_output_matches_golden() {
-    let doc = golden_trace().to_chrome_json();
+    let doc = golden_trace().to_chrome_json().to_pretty();
     assert_eq!(doc, GOLDEN, "trace_event/1 shape drifted");
 }
 
 #[test]
 fn chrome_trace_round_trips_through_parser() {
     let doc = golden_trace().to_chrome_json();
-    let v = json::parse(&doc).expect("strict RFC 8259");
+    let v = json::parse(&doc.to_pretty()).expect("strict RFC 8259");
+    assert_eq!(v, doc);
     assert_eq!(v.get("schema").unwrap().as_str(), Some("trace_event/1"));
     assert_eq!(v.get("displayTimeUnit").unwrap().as_str(), Some("ns"));
     let evs = v.get("traceEvents").unwrap().as_array().unwrap();
