@@ -2,7 +2,9 @@
 # Hermetic CI gate: lint + format + rustdoc checks, offline release
 # build, a one-emitter gate (only obs::json writes JSON text), full
 # offline test suite, the 200-kernel fixed-seed differential
-# fuzz run, a bench_json smoke run with BENCH_*.json schema checks, a
+# fuzz run, a control-overhead gate (exact per-instance counts of lets
+# and bound operands on the paper's kernels — deterministic, not a
+# timing), a bench_json smoke run with BENCH_*.json schema checks, a
 # bench_diff perf-regression gate against the committed baselines,
 # smoke runs of the repo benchmark's four workloads (the only build of
 # benchmark/ against the workspace crates), a plutoc option-validation gate, a
@@ -50,6 +52,20 @@ echo "== differential fuzz: 200 random kernels, fixed seed =="
 # on the compiled kernel the engines executed — see testkit's oracle.
 TESTKIT_CASES=200 cargo test --release --offline --test differential_fuzz \
     -- --nocapture
+
+echo "== control overhead per point: exact counts on the paper's five kernels =="
+# What tiling costs on the bytecode engine is control work per statement
+# instance, and machine::control_mix counts it exactly. At benchmark/'s
+# tile size and kernel_exec sizes the transformed code must bind at most
+# 0.02 lets per instance and fdtd-2d evaluate at most 0.6 bound operands
+# per instance (tests/control_mix.rs — built by the suite above, rerun
+# here by name with its table). And the emitted C calls statements with
+# arguments: no supernode is ever bound.
+cargo test --release --offline --test control_mix -- --nocapture
+if ./target/release/plutoc --tile 32 examples/jacobi-1d.c | grep -q 'int tT'; then
+    echo "plutoc binds a supernode per instance again" >&2
+    exit 1
+fi
 
 echo "== bench smoke: BENCH_*.json emission + well-formedness =="
 # bench_json builds both documents as pluto_obs::json values; here we

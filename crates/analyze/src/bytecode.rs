@@ -14,16 +14,23 @@
 //!    stream in lockstep (loops, lets, guards, filters, leaves must line
 //!    up structurally, bounds and conditions coefficient-for-
 //!    coefficient), and at every statement leaf symbolically re-expand
-//!    the folded `base + Σ stride·iter` access from the IR access
-//!    matrix, the array extents and the baked-in parameter values. Any
-//!    divergence — in the skeleton, a bound, a provenance record, or a
-//!    re-expanded access — is a miscompile.
+//!    the IR access matrix composed with the leaf's arguments (`iters =
+//!    args(loop variables, params)`), the array extents and the baked-in
+//!    parameter values into `base + Σ stride·slot`, and compare it with
+//!    the compiled access *summed with its hoisted invariant* (which
+//!    the nearest enclosing loop must own, reading no slot written
+//!    inside it). Any divergence — in the skeleton, a bound, a
+//!    provenance record, a hoist, or a re-expanded access — is a
+//!    miscompile.
 //! 2. **Static bounds safety (PL009)** — the executor guards each raw
 //!    load/store with a *flattened* offset check. Here we prove the
-//!    check can never fire: for every compiled access, the set of
-//!    in-domain instances whose flat offset leaves `[0, len)` is proved
-//!    empty (violation-set emptiness as in [`crate::bounds`]), with an
-//!    ILP-sampled witness instance on failure.
+//!    check can never fire: for every access, the set of in-domain
+//!    instances whose flat offset leaves `[0, len)` is proved empty
+//!    (violation-set emptiness as in [`crate::bounds`]), with an
+//!    ILP-sampled witness instance on failure. The offset is the
+//!    row-major fold of the IR subscript rows — which PL008 ties to the
+//!    compiled strides — with the compiled constant pulled back through
+//!    the arguments, against the compiled length.
 //! 3. **Dispatch partition soundness (PL010/PL011)** — the pooled
 //!    scheduler carves each parallel dispatch's (possibly collapse-2)
 //!    work list into chunks via [`pluto_machine::chunk_plan`]. PL010
@@ -42,7 +49,8 @@
 //! 4. **Body-tape equivalence (PL012)** — every postfix body tape is
 //!    decompiled on a symbolic stack back into an expression tree and
 //!    compared node-for-node (literals bit-for-bit) with the IR
-//!    statement body.
+//!    statement body; `Iter(k)` reads the leaf's compiled argument `k`,
+//!    which PL008 compares with the AST's.
 //!
 //! Plus one locality lint: **PL013** flags innermost compiled loops
 //! whose minimum nonzero access stride exceeds 1 — no stride-1 stream
@@ -129,7 +137,7 @@ pub fn check(input: &BytecodeInput) -> Vec<Diagnostic> {
         leaves: Vec::new(),
         diags: Vec::new(),
         desynced: false,
-        sens: BTreeMap::new(),
+        open: Vec::new(),
     };
     let mut path = String::new();
     if w.walk(input.ast, &mut path).is_ok() {
@@ -194,13 +202,31 @@ struct LeafRec {
     pc: usize,
     leaf: usize,
     stmt: usize,
-    orig_dims: Vec<usize>,
     path: String,
-    /// Per access (write first, then reads in order): the array id and
-    /// the access's stride linearized onto *loop-variable* slots —
-    /// compiled strides are keyed on `Let`-alias slots, so this chases
-    /// each slot's affine definition back to the loops it depends on.
-    stride_lin: Vec<(u32, BTreeMap<usize, Int>)>,
+    /// Write first, then reads in order (those PL008 could re-expand).
+    accesses: Vec<AccRec>,
+}
+
+/// One access of a leaf, in the two spaces the later checks work in.
+struct AccRec {
+    what: String,
+    array: u32,
+    /// Statement space: the row-major fold of the IR subscript rows over
+    /// the original iterators, and the compiled constant pulled back
+    /// through the arguments (parameters at their compiled values).
+    per_iter: Vec<Int>,
+    base: Int,
+    len: u32,
+    /// Slot space: the compiled access with its hoist, slot → stride.
+    strides: BTreeMap<usize, Int>,
+}
+
+/// A loop the walk is inside of.
+struct OpenLoop {
+    hoist: (u32, u32),
+    /// Slots written while it runs: its variable, and every loop
+    /// variable and `Let` inside its body.
+    bound: Vec<usize>,
 }
 
 struct Walker<'a> {
@@ -214,11 +240,8 @@ struct Walker<'a> {
     diags: Vec<Diagnostic>,
     /// Structural divergence found — the AST↔bytecode mapping is void.
     desynced: bool,
-    /// Slot sensitivities in scope: slot → `{loop-var slot → coeff}`.
-    /// Loop vars map to themselves; `Let` slots to the linearization of
-    /// their defining expression (empty for floordiv definitions, whose
-    /// per-iteration increment is not a constant).
-    sens: BTreeMap<usize, BTreeMap<usize, Int>>,
+    /// Enclosing loops, outermost first.
+    open: Vec<OpenLoop>,
 }
 
 impl Walker<'_> {
@@ -253,6 +276,7 @@ impl Walker<'_> {
                     parallel,
                     name,
                     exit,
+                    hoist,
                 }) = self.ck.code.get(self.pc).cloned()
                 else {
                     return self.fail(
@@ -323,12 +347,16 @@ impl Walker<'_> {
                 if l.parallel {
                     self.par_depth += 1;
                 }
-                let shadowed = self.sens.insert(l.var, BTreeMap::from([(l.var, 1 as Int)]));
+                self.open.push(OpenLoop {
+                    hoist,
+                    bound: vec![l.var],
+                });
                 self.walk(&l.body, path)?;
-                match shadowed {
-                    Some(m) => self.sens.insert(l.var, m),
-                    None => self.sens.remove(&l.var),
-                };
+                let me = self.open.pop().expect("pushed above");
+                self.check_hoists(&me, path);
+                if let Some(outer) = self.open.last_mut() {
+                    outer.bound.extend(me.bound);
+                }
                 if l.parallel {
                     self.par_depth -= 1;
                 }
@@ -379,24 +407,11 @@ impl Walker<'_> {
                 {
                     return self.fail(path, "compiled let expression diverges from the AST".into());
                 }
-                let mut lin: BTreeMap<usize, Int> = BTreeMap::new();
-                if expr.div == 1 {
-                    for &(tv, k) in &expr.terms {
-                        if let Some(m) = self.sens.get(&tv) {
-                            for (&lv, &c) in m {
-                                *lin.entry(lv).or_insert(0) += k * c;
-                            }
-                        }
-                    }
-                    lin.retain(|_, c| *c != 0);
+                if let Some(l) = self.open.last_mut() {
+                    l.bound.push(*var);
                 }
-                let shadowed = self.sens.insert(*var, lin);
                 self.pc += 1;
                 self.walk(body, path)?;
-                match shadowed {
-                    Some(m) => self.sens.insert(*var, m),
-                    None => self.sens.remove(var),
-                };
                 path.truncate(saved);
                 Ok(())
             }
@@ -437,7 +452,28 @@ impl Walker<'_> {
                     _ => self.fail(path, "expected the matching FilterExit instruction".into()),
                 }
             }
-            Ast::Stmt { stmt, orig_dims } => self.leaf(*stmt, orig_dims, path),
+            Ast::Stmt { stmt, args } => self.leaf(*stmt, args, path),
+        }
+    }
+
+    /// A loop sums its hoists once, on entry: each must exist and read
+    /// no slot written while the loop runs.
+    fn check_hoists(&mut self, l: &OpenLoop, path: &str) {
+        for k in l.hoist.0..l.hoist.1 {
+            let invariant = self
+                .ck
+                .hoists
+                .get(k as usize)
+                .is_some_and(|h| h.iter().all(|&(s, _)| !l.bound.contains(&(s as usize))));
+            if !invariant {
+                self.diags.push(Diagnostic::new(
+                    Code::BytecodeDivergence,
+                    path.to_string(),
+                    format!(
+                        "hoisted invariant {k} is missing or varies inside the loop that sums it"
+                    ),
+                ));
+            }
         }
     }
 
@@ -456,7 +492,7 @@ impl Walker<'_> {
         }
     }
 
-    fn leaf(&mut self, stmt: usize, orig_dims: &[usize], path: &str) -> Result<(), ()> {
+    fn leaf(&mut self, stmt: usize, args: &[AffExpr], path: &str) -> Result<(), ()> {
         let Some(Instr::Stmt { leaf }) = self.ck.code.get(self.pc).cloned() else {
             let name = &self.prog.stmts[stmt].name;
             return self.fail(path, format!("expected a Stmt instruction for `{name}`"));
@@ -485,7 +521,7 @@ impl Walker<'_> {
             return self.fail(&leaf_path, msg);
         }
         match self.ck.provenance.leaves.get(leaf as usize) {
-            Some(o) if o.stmt == stmt && o.orig_dims == orig_dims => {}
+            Some(o) if o.stmt == stmt && o.args == args => {}
             _ => {
                 return self.fail(
                     &leaf_path,
@@ -493,10 +529,20 @@ impl Walker<'_> {
                 );
             }
         }
+        let args_match = args.len() == s.num_iters()
+            && cl.args.len() == args.len()
+            && cl.args.iter().zip(args).all(|(c, a)| aff_matches(c, a));
+        if !args_match {
+            return self.fail(
+                &leaf_path,
+                "compiled statement arguments diverge from the AST leaf".into(),
+            );
+        }
 
         // (a) access equivalence — non-fatal: a wrong fold doesn't break
         // the structural mapping, so the remaining checks still run.
-        self.check_access(&cl.write, &s.write, orig_dims, "write", &leaf_path);
+        let mut accesses = Vec::with_capacity(1 + s.reads.len());
+        accesses.extend(self.check_access(&cl.write, &s.write, args, "write", &leaf_path));
         if cl.reads.len() != s.reads.len() {
             self.diags.push(Diagnostic::new(
                 Code::BytecodeDivergence,
@@ -509,14 +555,20 @@ impl Walker<'_> {
             ));
         } else {
             for (i, (got, want)) in cl.reads.iter().zip(&s.reads).enumerate() {
-                self.check_access(got, want, orig_dims, &format!("read{i}"), &leaf_path);
+                accesses.extend(self.check_access(
+                    got,
+                    want,
+                    args,
+                    &format!("read{i}"),
+                    &leaf_path,
+                ));
             }
         }
         pluto_obs::counters::ANALYZE_BYTECODE_ACCESSES.add(1 + s.reads.len() as u64);
 
         // (d) body-tape equivalence.
         pluto_obs::counters::ANALYZE_BYTECODE_TAPES.bump();
-        match decompile(&cl.body, orig_dims) {
+        match decompile(&cl.body, args.len()) {
             Ok(tree) => {
                 if !expr_eq(&tree, &s.body) {
                     self.diags.push(Diagnostic::new(
@@ -538,45 +590,31 @@ impl Walker<'_> {
             }
         }
 
-        let stride_lin = std::iter::once(&cl.write)
-            .chain(&cl.reads)
-            .map(|acc| {
-                let mut m: BTreeMap<usize, Int> = BTreeMap::new();
-                for &(slot, c) in &acc.strides {
-                    if let Some(sm) = self.sens.get(&(slot as usize)) {
-                        for (&lv, &k) in sm {
-                            *m.entry(lv).or_insert(0) += c as Int * k;
-                        }
-                    }
-                }
-                m.retain(|_, v| *v != 0);
-                (acc.array, m)
-            })
-            .collect();
         self.leaves.push(LeafRec {
             pc: self.pc,
             leaf: leaf as usize,
             stmt,
-            orig_dims: orig_dims.to_vec(),
             path: leaf_path,
-            stride_lin,
+            accesses,
         });
         self.next_leaf += 1;
         self.pc += 1;
         Ok(())
     }
 
-    /// Symbolically re-expands the IR access map into the folded
-    /// `base + Σ stride·slot` form (row-major, parameters at the
-    /// compiled values) and compares it with what the compiler produced.
+    /// Symbolically re-expands the IR access map, composed with the
+    /// leaf's arguments, into the folded `base + Σ stride·slot` form
+    /// (row-major, parameters at the compiled values) and compares it
+    /// with what the compiler produced, hoisted part included. Returns
+    /// the access in the forms PL009 and PL013 consume.
     fn check_access(
         &mut self,
         got: &CAccess,
         want: &Access,
-        orig_dims: &[usize],
+        args: &[AffExpr],
         what: &str,
         path: &str,
-    ) {
+    ) -> Option<AccRec> {
         let arr_name = &self.prog.arrays[want.array].name;
         let mut divergence = |msg: String| {
             self.diags.push(Diagnostic::new(
@@ -590,57 +628,88 @@ impl Walker<'_> {
                 "compiled access targets array {}, source accesses `{arr_name}`",
                 got.array
             ));
-            return;
+            return None;
         }
         let ext = &self.ck.extents[want.array];
         let np = self.prog.num_params();
-        let n = orig_dims.len();
+        let n = args.len();
         if want.map.len() != ext.len() || want.map.iter().any(|r| r.len() != n + np + 1) {
             divergence("access rank diverges from the array extents".into());
-            return;
+            return None;
         }
+        let param = |p: usize| self.ck.params[p] as Int;
         let mut rstride = vec![1 as Int; ext.len()];
         for k in (0..ext.len().saturating_sub(1)).rev() {
             rstride[k] = rstride[k + 1] * ext[k + 1] as Int;
         }
-        let mut base: Int = 0;
-        let mut per_dim = vec![0 as Int; n];
+        // The fold over the statement's own iterators…
+        let mut ir_base: Int = 0;
+        let mut per_iter = vec![0 as Int; n];
         for (k, row) in want.map.iter().enumerate() {
-            base += row[n + np] * rstride[k];
-            for (p, &pv) in self.ck.params.iter().enumerate() {
-                base += row[n + p] * pv as Int * rstride[k];
+            ir_base += row[n + np] * rstride[k];
+            for p in 0..np {
+                ir_base += row[n + p] * param(p) * rstride[k];
             }
             for d in 0..n {
-                per_dim[d] += row[d] * rstride[k];
+                per_iter[d] += row[d] * rstride[k];
             }
         }
-        let mut expect: Vec<(usize, Int)> = per_dim
-            .iter()
-            .enumerate()
-            .filter(|&(_, &c)| c != 0)
-            .map(|(d, &c)| (orig_dims[d], c))
-            .collect();
-        expect.sort_unstable();
+        // …and through the arguments onto slots.
+        let mut base = ir_base;
+        let mut expect: BTreeMap<usize, Int> = BTreeMap::new();
+        for (arg, &c) in args.iter().zip(&per_iter) {
+            base += c * arg.konst;
+            for &(v, k) in &arg.terms {
+                if v < np {
+                    base += c * k * param(v);
+                } else {
+                    *expect.entry(v).or_insert(0) += c * k;
+                }
+            }
+        }
+        expect.retain(|_, c| *c != 0);
         let len: Int = ext.iter().map(|&e| e as Int).product::<Int>().max(1);
-        let mut got_strides: Vec<(usize, Int)> = got
-            .strides
-            .iter()
-            .map(|&(s, c)| (s as usize, c as Int))
-            .collect();
-        got_strides.sort_unstable();
-        if got.base as Int != base || got_strides != expect || got.len as Int != len {
+
+        let mut strides: BTreeMap<usize, Int> = BTreeMap::new();
+        let owner = self.open.last().map_or((0, 0), |l| l.hoist);
+        let hoisted: &[(u32, i64)] = match got.pre {
+            None => &[],
+            Some(k) if (owner.0..owner.1).contains(&k) && (k as usize) < self.ck.hoists.len() => {
+                &self.ck.hoists[k as usize]
+            }
+            Some(k) => {
+                divergence(format!(
+                    "{what} access reads hoisted invariant {k}, which the nearest enclosing \
+                     loop does not sum"
+                ));
+                return None;
+            }
+        };
+        for &(slot, c) in got.strides.iter().chain(hoisted) {
+            *strides.entry(slot as usize).or_insert(0) += c as Int;
+        }
+        strides.retain(|_, c| *c != 0);
+        if got.base as Int != base || strides != expect || got.len as Int != len {
             divergence(format!(
                 "{what} access to `{arr_name}` re-expands to {} but was compiled as {}",
                 fmt_access(base, &expect, len),
-                fmt_access(got.base as Int, &got_strides, got.len as Int)
+                fmt_access(got.base as Int, &strides, got.len as Int)
             ));
         }
+        Some(AccRec {
+            what: what.to_string(),
+            array: got.array,
+            per_iter,
+            base: ir_base + (got.base as Int - base),
+            len: got.len,
+            strides,
+        })
     }
 }
 
-fn fmt_access(base: Int, strides: &[(usize, Int)], len: Int) -> String {
+fn fmt_access(base: Int, strides: &BTreeMap<usize, Int>, len: Int) -> String {
     let mut s = format!("[{base}");
-    for &(slot, c) in strides {
+    for (slot, c) in strides {
         s.push_str(&format!(" + {c}·v{slot}"));
     }
     s.push_str(&format!(" : len {len}]"));
@@ -674,9 +743,9 @@ fn cond_matches(c: &CCond, r: &CondRow) -> bool {
             .all(|(&(v, k), &(rv, rk))| v as usize == rv && k as Int == rk)
 }
 
-/// Decompiles a postfix tape back into an expression tree. `Iter` slots
-/// are mapped back to statement iterator indices through `orig_dims`.
-fn decompile(ops: &[BodyOp], orig_dims: &[usize]) -> Result<Expr, String> {
+/// Decompiles a postfix tape back into an expression tree. `Iter(k)`
+/// names iterator `k` of the statement's `n_iters`.
+fn decompile(ops: &[BodyOp], n_iters: usize) -> Result<Expr, String> {
     let mut stack: Vec<Expr> = Vec::new();
     let bin = |stack: &mut Vec<Expr>, f: fn(Box<Expr>, Box<Expr>) -> Expr| {
         let b = stack.pop().ok_or("binary op underflows the stack")?;
@@ -688,14 +757,9 @@ fn decompile(ops: &[BodyOp], orig_dims: &[usize]) -> Result<Expr, String> {
         match *op {
             BodyOp::Read(k) => stack.push(Expr::Read(k as usize)),
             BodyOp::Lit(v) => stack.push(Expr::Lit(v)),
-            BodyOp::Iter(slot) => {
-                let d = orig_dims
-                    .iter()
-                    .position(|&s| s == slot as usize)
-                    .ok_or_else(|| {
-                        format!("Iter slot {slot} is not an original iterator of the statement")
-                    })?;
-                stack.push(Expr::Iter(d));
+            BodyOp::Iter(k) if (k as usize) < n_iters => stack.push(Expr::Iter(k as usize)),
+            BodyOp::Iter(k) => {
+                return Err(format!("Iter {k} is not an iterator of the statement"));
             }
             BodyOp::Add => bin(&mut stack, Expr::Add)?,
             BodyOp::Sub => bin(&mut stack, Expr::Sub)?,
@@ -739,53 +803,36 @@ fn pinned_ctx(prog: &Program, params: &[i64]) -> ConstraintSet {
     ctx
 }
 
-/// PL009: proves every compiled access's flattened offset stays inside
-/// `[0, len)` for all in-domain instances of its statement.
+/// PL009: proves every access's flattened offset stays inside `[0, len)`
+/// for all in-domain instances of its statement.
 fn check_flat_bounds(input: &BytecodeInput, leaves: &[LeafRec], diags: &mut Vec<Diagnostic>) {
     let prog = input.program;
     let t = input.transform;
-    let ck = input.kernel;
     let np = prog.num_params();
-    let ctx = pinned_ctx(prog, &ck.params);
-    // Split leaves compile the same statement (hence the same folded
-    // accesses) many times; prove each distinct compiled access once.
-    type AccessKey = (usize, u32, i64, Vec<(u32, i64)>, u32);
+    let ctx = pinned_ctx(prog, &input.kernel.params);
+    // Split leaves compile the same statement (hence the same accesses)
+    // many times; prove each distinct one once.
+    type AccessKey = (usize, u32, Vec<Int>, Int, u32);
     let mut proven: HashSet<AccessKey> = HashSet::new();
 
     for lr in leaves {
         let s = lr.stmt;
         let nd = t.domains[s].num_vars() - np;
         let m = t.num_orig_dims[s];
-        if m != lr.orig_dims.len() {
-            continue; // already flagged by the lockstep walk
-        }
         let base_set = t.domains[s].intersect(&ctx.insert_dims(0, nd));
-        let cl = &ck.leaves[lr.leaf];
-        let accesses = std::iter::once(("write".to_string(), &cl.write)).chain(
-            cl.reads
-                .iter()
-                .enumerate()
-                .map(|(i, a)| (format!("read{i}"), a)),
-        );
-        for (what, acc) in accesses {
-            if !proven.insert((s, acc.array, acc.base, acc.strides.clone(), acc.len)) {
+        for acc in &lr.accesses {
+            let what = &acc.what;
+            if acc.per_iter.len() != m
+                || !proven.insert((s, acc.array, acc.per_iter.clone(), acc.base, acc.len))
+            {
                 continue;
             }
             // Flat-offset row over the statement's augmented space
-            // `[nd dims, params, 1]`: strides land on the trailing-m
+            // `[nd dims, params, 1]`: the fold lands on the trailing-m
             // original dims, the folded base is the constant.
             let mut row = vec![0 as Int; nd + np + 1];
-            let mut mapped = true;
-            for &(slot, c) in &acc.strides {
-                match lr.orig_dims.iter().position(|&x| x == slot as usize) {
-                    Some(d) => row[nd - m + d] += c as Int,
-                    None => mapped = false,
-                }
-            }
-            if !mapped {
-                continue; // unmappable slot — flagged as PL008 already
-            }
-            row[nd + np] = acc.base as Int;
+            row[nd - m..nd].copy_from_slice(&acc.per_iter);
+            row[nd + np] = acc.base;
             let arr_name = &prog.arrays[acc.array as usize].name;
             let offset_at = |point: &[Int]| -> Int {
                 let mut v = row[nd + np];
@@ -1119,9 +1166,9 @@ fn check_strides(
         let mut min_nz: Option<Int> = None;
         let mut per_array: BTreeMap<u32, Vec<Int>> = BTreeMap::new();
         for lr in leaves.iter().filter(|l| l.pc > lp.pc && l.pc < lp.exit) {
-            for (array, lin) in &lr.stride_lin {
-                let stride = lin.get(&lp.var).copied().unwrap_or(0);
-                per_array.entry(*array).or_default().push(stride);
+            for acc in &lr.accesses {
+                let stride = acc.strides.get(&lp.var).copied().unwrap_or(0);
+                per_array.entry(acc.array).or_default().push(stride);
                 if stride != 0 {
                     let s = stride.abs();
                     min_nz = Some(min_nz.map_or(s, |m| m.min(s)));

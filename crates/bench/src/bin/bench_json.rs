@@ -6,7 +6,9 @@
 //! pluto-wavefront run times, all three on the compiled bytecode
 //! executor — compiled once, sampled many times; the wavefront over the
 //! persistent worker pool — plus the per-kernel runtime-execution
-//! section: load imbalance, barrier wait, per-array cache attribution;
+//! section: load imbalance, barrier wait, per-array cache attribution —
+//! and `control_mix`, the exact control-work counts of one sequential
+//! run of the original and of the transformed kernel;
 //! schema `pluto-bench-kernels/3`, whose `meta.engine` names the engine
 //! so `bench_diff` refuses the tree-walk-timed `/2` baselines).
 //!
@@ -25,8 +27,9 @@ use pluto_bench::variants;
 use pluto_codegen::generate;
 use pluto_frontend::kernels::{self, Kernel};
 use pluto_machine::{
-    compile_kernel, pool, run_compiled_kernel, run_compiled_parallel,
-    run_compiled_parallel_profiled, run_with_cache_attributed, Arrays, CacheConfig, ParallelConfig,
+    compile_kernel, control_mix, pool, run_compiled_kernel, run_compiled_parallel,
+    run_compiled_parallel_profiled, run_with_cache_attributed, Arrays, CacheConfig, CompiledKernel,
+    ParallelConfig,
 };
 use pluto_obs::aggregate::fnv1a;
 use pluto_obs::hist::hists_json;
@@ -226,6 +229,13 @@ fn kernels_json(set: &[(&'static str, Kernel, Vec<i64>)]) -> Json {
                 arr(variants.iter().map(|(vname, st)| variant_json(vname, st))),
             ),
             ("exec", eprof.to_json()),
+            (
+                "control_mix",
+                obj([
+                    ("original", mix_json(&orig_ck)),
+                    ("transformed", mix_json(&ck)),
+                ]),
+            ),
         ])
     });
     obj([
@@ -234,6 +244,12 @@ fn kernels_json(set: &[(&'static str, Kernel, Vec<i64>)]) -> Json {
         ("samples", num(SAMPLES)),
         ("kernels", arr(kernels)),
     ])
+}
+
+/// The control-work counts of one sequential run (deterministic:
+/// `bench_diff` gates them hard).
+fn mix_json(ck: &CompiledKernel) -> Json {
+    obj(control_mix(ck).fields().map(|(name, n)| (name, num(n))))
 }
 
 fn variant_json(name: &str, st: &Stats) -> Json {

@@ -8,9 +8,10 @@
 //! which have no `hists`, is still read) metric by metric. The gating policy follows PERFORMANCE.md §6:
 //!
 //! * **counter-based metrics** (solver counters, dispatch counts,
-//!   simulated cache accesses/misses) are deterministic for a given
-//!   input, so they gate: an increase ≥ the fail threshold is a
-//!   failure, any change ≥ the warn threshold is a warning;
+//!   simulated cache accesses/misses, `control_mix` counts) are
+//!   deterministic for a given input, so they gate: an increase ≥ the
+//!   fail threshold is a failure, any change ≥ the warn threshold is a
+//!   warning;
 //! * **wall-time metrics** (`total_ns`, phase `wall_ns`, variant
 //!   `median_ns`, ILP-latency `p50_ns`/`p95_ns` quantiles, imbalance
 //!   ratios, barrier wait) move with machine load, so they only ever
@@ -344,6 +345,27 @@ fn diff_kernels_kernel(d: &mut Differ, name: &str, bk: &Json, fk: &Json) -> Resu
             gated,
         );
     }
+    // Control-work counts: exact, so gated. A baseline from before the
+    // section existed has nothing to compare.
+    if let Some(bm) = bk.get("control_mix") {
+        let fm = field(fk, "control_mix", name)?;
+        for side in ["original", "transformed"] {
+            let (bs, fs) = (field(bm, side, name)?, field(fm, side, name)?);
+            let Json::Object(counts) = bs else {
+                return Err(DiffError::Parse(format!(
+                    "{name}.control_mix.{side} is not an object"
+                )));
+            };
+            for (key, bv) in counts {
+                d.add(
+                    format!("{name}/control_mix/{side}/{key}"),
+                    num(bv, key)?,
+                    num(field(fs, key, side)?, key)?,
+                    true,
+                );
+            }
+        }
+    }
     let farrays = arr_field(fe, "arrays", "exec")?;
     for ba in arr_field(be, "arrays", "exec")? {
         let aname = str_field(ba, "name", "array entry")?;
@@ -521,6 +543,31 @@ mod tests {
         assert!(matches!(err, DiffError::Incompatible(_)), "{err}");
         let err = diff_documents(&v2, &v2, DEFAULT_WARN, DEFAULT_FAIL).unwrap_err();
         assert!(matches!(err, DiffError::Parse(_)), "{err}");
+    }
+
+    /// `control_mix` counts are exact: growth gates like any counter, and
+    /// a baseline written before the section existed compares without it.
+    #[test]
+    fn control_mix_counts_are_gated() {
+        let doc = |lets: u64| {
+            format!(
+                r#"{{"schema": "pluto-bench-kernels/3",
+            "meta": {{"kernel_set_hash": "abc", "tile": 8, "threads": 4, "samples": 5,
+                     "pool_spawns": 3, "engine": "bytecode"}},
+            "kernels": [{{"kernel": "lu", "variants": [],
+              "exec": {{"dispatches": 1, "imbalance_mean": 1, "imbalance_max": 1,
+                       "barrier_wait_ns": 1, "arrays": []}},
+              "control_mix": {{"original": {{"lets": 0, "instances": 100}},
+                              "transformed": {{"lets": {lets}, "instances": 100}}}}}}]}}"#
+            )
+        };
+        let r = diff_documents(&doc(4), &doc(8), DEFAULT_WARN, DEFAULT_FAIL).unwrap();
+        assert_eq!(r.fails(), 1, "report: {}", render_report(&r));
+        assert_eq!(r.lines[0].metric, "lu/control_mix/transformed/lets");
+        assert!(r.lines[0].gated);
+        let before = doc(4).replace("\"control_mix\"", "\"was_not_there\"");
+        let r = diff_documents(&before, &doc(8), DEFAULT_WARN, DEFAULT_FAIL).unwrap();
+        assert_eq!(r.compared, 4, "only the exec fields compare");
     }
 
     #[test]

@@ -72,7 +72,46 @@ pub struct Bound {
     pub groups: Vec<Vec<AffExpr>>,
 }
 
+/// Same `(variable, coefficient)` pairs, in any order.
+fn same_terms(a: &[(usize, Int)], b: &[(usize, Int)]) -> bool {
+    a.len() == b.len() && a.iter().all(|t| b.contains(t))
+}
+
 impl Bound {
+    /// A lower bound in canonical form: within a `max` group, operands
+    /// with equal terms and divisor collapse to the first one carrying
+    /// the larger constant (the rule of `ConstraintSet::prune_dominated`);
+    /// groups that repeat an earlier one are dropped.
+    pub fn lower(groups: Vec<Vec<AffExpr>>) -> Bound {
+        Bound::canonical(groups, Int::max)
+    }
+
+    /// An upper bound in canonical form (`min` groups keep the smaller
+    /// constant); see [`lower`](Bound::lower).
+    pub fn upper(groups: Vec<Vec<AffExpr>>) -> Bound {
+        Bound::canonical(groups, Int::min)
+    }
+
+    fn canonical(groups: Vec<Vec<AffExpr>>, tighter: fn(Int, Int) -> Int) -> Bound {
+        let mut out: Vec<Vec<AffExpr>> = Vec::new();
+        for g in groups {
+            let mut kept: Vec<AffExpr> = Vec::new();
+            for e in g {
+                let twin = kept
+                    .iter_mut()
+                    .find(|k| k.div == e.div && same_terms(&k.terms, &e.terms));
+                match twin {
+                    Some(k) => k.konst = tighter(k.konst, e.konst),
+                    None => kept.push(e),
+                }
+            }
+            if !out.contains(&kept) {
+                out.push(kept);
+            }
+        }
+        Bound { groups: out }
+    }
+
     /// Evaluates as a lower bound (`min` of `max`, `ceild` rounding).
     ///
     /// # Panics
@@ -121,6 +160,23 @@ pub struct CondRow {
 }
 
 impl CondRow {
+    /// A conjunction in canonical form: repeated rows are dropped, and of
+    /// two `>=` rows over equal terms the first one stays, carrying the
+    /// smaller (tighter) constant.
+    pub fn canonical(rows: Vec<CondRow>) -> Vec<CondRow> {
+        let mut kept: Vec<CondRow> = Vec::new();
+        for r in rows {
+            let twin = kept.iter_mut().find(|k| {
+                k.eq == r.eq && same_terms(&k.terms, &r.terms) && (!r.eq || k.konst == r.konst)
+            });
+            match twin {
+                Some(k) => k.konst = k.konst.min(r.konst),
+                None => kept.push(r),
+            }
+        }
+        kept
+    }
+
     /// Whether the condition holds at the given variable values.
     pub fn holds(&self, vals: &[Int]) -> bool {
         let mut v = self.konst;
@@ -204,9 +260,11 @@ pub enum Ast {
     Stmt {
         /// Statement id in the program.
         stmt: usize,
-        /// Variable ids holding the statement's *original* iterator
-        /// values (what its accesses and body consume).
-        orig_dims: Vec<usize>,
+        /// The statement's *original* iterator values (what its accesses
+        /// and body consume), one affine expression (`div == 1`) per
+        /// iterator over the enclosing loop variables and parameters —
+        /// CLooG's `S1(c3,c4-2*c3)`.
+        args: Vec<AffExpr>,
     },
 }
 
@@ -251,7 +309,7 @@ impl Ast {
                 .max()
                 .unwrap_or(0)
                 .max(body.num_vars()),
-            Ast::Stmt { orig_dims, .. } => orig_dims.iter().map(|&v| v + 1).max().unwrap_or(0),
+            Ast::Stmt { args, .. } => args.iter().map(expr_max).max().unwrap_or(0),
         }
     }
 }
@@ -296,6 +354,48 @@ mod tests {
     }
 
     #[test]
+    fn canonical_bounds_and_conds() {
+        let e = |v: usize, konst: Int, div: Int| AffExpr {
+            terms: vec![(v, 1)],
+            konst,
+            div,
+        };
+        // max keeps the larger constant at the first position, min the
+        // smaller; equal divisors compare under ceil and floor alike.
+        let lb = Bound::lower(vec![vec![e(0, 1, 1), e(1, 0, 4), e(0, 3, 1), e(1, -2, 4)]]);
+        assert_eq!(lb.groups, vec![vec![e(0, 3, 1), e(1, 0, 4)]]);
+        let ub = Bound::upper(vec![vec![e(0, 1, 1), e(1, 0, 4), e(0, 3, 1), e(1, -2, 4)]]);
+        assert_eq!(ub.groups, vec![vec![e(0, 1, 1), e(1, -2, 4)]]);
+        // Different divisors or terms never merge; repeated groups do.
+        let two = Bound::lower(vec![
+            vec![e(0, 0, 2), e(0, 0, 3)],
+            vec![e(1, 0, 1)],
+            vec![e(0, 0, 2), e(0, 0, 3)],
+        ]);
+        assert_eq!(two.groups.len(), 2);
+        assert_eq!(two.groups[0].len(), 2);
+        for v in -7..8 {
+            let vals = [v, 2 * v - 3];
+            let raw = Bound {
+                groups: vec![vec![e(0, 1, 1), e(1, 0, 4), e(0, 3, 1), e(1, -2, 4)]],
+            };
+            assert_eq!(lb.eval_lower(&vals), raw.eval_lower(&vals));
+            assert_eq!(ub.eval_upper(&vals), raw.eval_upper(&vals));
+        }
+
+        let c = |konst: Int, eq: bool| CondRow {
+            terms: vec![(0, 1), (1, -2)],
+            konst,
+            eq,
+        };
+        let rows = CondRow::canonical(vec![c(-2, false), c(0, true), c(-3, false), c(0, true)]);
+        assert_eq!(rows, vec![c(-3, false), c(0, true)]);
+        // Equalities with different constants are a contradiction, not
+        // a redundancy: both stay.
+        assert_eq!(CondRow::canonical(vec![c(0, true), c(1, true)]).len(), 2);
+    }
+
+    #[test]
     fn cond_rows() {
         let ge = CondRow {
             terms: vec![(0, 1)],
@@ -334,7 +434,11 @@ mod tests {
             level: Some(0),
             body: Box::new(Ast::Stmt {
                 stmt: 0,
-                orig_dims: vec![1],
+                args: vec![AffExpr {
+                    terms: vec![(1, 1)],
+                    konst: 0,
+                    div: 1,
+                }],
             }),
         });
         assert_eq!(ast.num_vars(), 2);
@@ -402,7 +506,7 @@ mod stats_tests {
     fn stats_count_nodes() {
         let leaf = Ast::Stmt {
             stmt: 0,
-            orig_dims: vec![],
+            args: vec![],
         };
         let guarded = Ast::Guard {
             conds: vec![

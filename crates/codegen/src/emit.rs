@@ -22,7 +22,7 @@ pub fn emit_c(prog: &Program, ast: &Ast) -> String {
         let _ = writeln!(out, "#define S{}({args}) {{ {lhs} = {rhs}; }}", i + 1);
     }
     out.push('\n');
-    emit(ast, &mut names, 0, &mut out);
+    emit(ast, &mut names, 0, false, &mut out);
     out
 }
 
@@ -40,7 +40,8 @@ fn expr_text(prog: &Program, s: &pluto_ir::Statement, e: &Expr) -> String {
     match e {
         Expr::Read(i) => access_text(prog, s, &s.reads[*i]),
         Expr::Lit(v) => format!("{v}"),
-        Expr::Iter(k) => s.iters[*k].clone(),
+        // Parenthesized: the call site passes an expression.
+        Expr::Iter(k) => format!("({})", s.iters[*k]),
         Expr::Add(a, b) => format!("({} + {})", expr_text(prog, s, a), expr_text(prog, s, b)),
         Expr::Sub(a, b) => format!("({} - {})", expr_text(prog, s, a), expr_text(prog, s, b)),
         Expr::Mul(a, b) => format!("({} * {})", expr_text(prog, s, a), expr_text(prog, s, b)),
@@ -48,10 +49,12 @@ fn expr_text(prog: &Program, s: &pluto_ir::Statement, e: &Expr) -> String {
     }
 }
 
-/// Renders a raw affine row over `[iters…, params…, 1]`.
+/// Renders a raw affine row over `[iters…, params…, 1]`. Iterators are
+/// macro parameters the call site replaces with expressions
+/// (`S1(c3,c4-2*c3)`), so one that is scaled or negated is parenthesized.
 fn affine_text(row: &[i128], iters: &[String], params: &[String]) -> String {
     let mut t = String::new();
-    let push = |t: &mut String, c: i128, name: &str| {
+    let push = |t: &mut String, c: i128, name: &str, is_iter: bool| {
         if c == 0 {
             return;
         }
@@ -63,13 +66,17 @@ fn affine_text(row: &[i128], iters: &[String], params: &[String]) -> String {
         if c.abs() != 1 {
             let _ = write!(t, "{}*", c.abs());
         }
-        t.push_str(name);
+        if is_iter && c != 1 {
+            let _ = write!(t, "({name})");
+        } else {
+            t.push_str(name);
+        }
     };
     for (k, it) in iters.iter().enumerate() {
-        push(&mut t, row[k], it);
+        push(&mut t, row[k], it, true);
     }
     for (k, p) in params.iter().enumerate() {
-        push(&mut t, row[iters.len() + k], p);
+        push(&mut t, row[iters.len() + k], p, false);
     }
     let c = row[iters.len() + params.len()];
     if c != 0 || t.is_empty() {
@@ -145,12 +152,16 @@ fn cond_c(c: &CondRow, names: &[String]) -> String {
     }
 }
 
-fn emit(ast: &Ast, names: &mut Vec<String>, indent: usize, out: &mut String) {
+/// `in_parallel`: an enclosing loop already carries the `omp parallel
+/// for`, which goes on the outermost parallel loop of a nest only
+/// (Pluto's `ploog` rule) — a nested region would be serialized or
+/// oversubscribe.
+fn emit(ast: &Ast, names: &mut Vec<String>, indent: usize, in_parallel: bool, out: &mut String) {
     let pad = "  ".repeat(indent);
     match ast {
         Ast::Seq(v) => {
             for a in v {
-                emit(a, names, indent, out);
+                emit(a, names, indent, in_parallel, out);
             }
         }
         Ast::Loop(LoopNode {
@@ -165,7 +176,7 @@ fn emit(ast: &Ast, names: &mut Vec<String>, indent: usize, out: &mut String) {
             body,
         }) => {
             names[*var] = name.clone();
-            if *parallel {
+            if *parallel && !in_parallel {
                 let _ = writeln!(out, "{pad}#pragma omp parallel for");
             }
             if *vector {
@@ -180,7 +191,7 @@ fn emit(ast: &Ast, names: &mut Vec<String>, indent: usize, out: &mut String) {
                 bound_c(lb, names, true),
                 bound_c(ub, names, false)
             );
-            emit(body, names, indent + 1, out);
+            emit(body, names, indent + 1, in_parallel || *parallel, out);
             let _ = writeln!(out, "{pad}}}");
         }
         Ast::Let {
@@ -191,13 +202,13 @@ fn emit(ast: &Ast, names: &mut Vec<String>, indent: usize, out: &mut String) {
         } => {
             names[*var] = name.clone();
             let _ = writeln!(out, "{pad}{{ int {name} = {};", expr_c(expr, names, false));
-            emit(body, names, indent + 1, out);
+            emit(body, names, indent + 1, in_parallel, out);
             let _ = writeln!(out, "{pad}}}");
         }
         Ast::Guard { conds, body } => {
             let cs: Vec<String> = conds.iter().map(|c| cond_c(c, names)).collect();
             let _ = writeln!(out, "{pad}if ({}) {{", cs.join(" && "));
-            emit(body, names, indent + 1, out);
+            emit(body, names, indent + 1, in_parallel, out);
             let _ = writeln!(out, "{pad}}}");
         }
         Ast::Filter { stmt, conds, body } => {
@@ -210,11 +221,11 @@ fn emit(ast: &Ast, names: &mut Vec<String>, indent: usize, out: &mut String) {
                 stmt + 1,
                 cs.join(" && ")
             );
-            emit(body, names, indent + 1, out);
+            emit(body, names, indent + 1, in_parallel, out);
             let _ = writeln!(out, "{pad}}}");
         }
-        Ast::Stmt { stmt, orig_dims } => {
-            let args: Vec<String> = orig_dims.iter().map(|&v| names[v].clone()).collect();
+        Ast::Stmt { stmt, args } => {
+            let args: Vec<String> = args.iter().map(|e| expr_c(e, names, false)).collect();
             let _ = writeln!(out, "{pad}S{}({});", stmt + 1, args.join(","));
         }
     }
@@ -228,7 +239,8 @@ mod tests {
     fn affine_text_formats() {
         let row = vec![1, -2, 0, 3];
         let t = affine_text(&row, &["i".into(), "j".into()], &["N".into()]);
-        assert_eq!(t, "i-2*j+3");
+        // `j` is a macro parameter: scaled, it needs its parentheses.
+        assert_eq!(t, "i-2*(j)+3");
         assert_eq!(affine_text(&[0, 0], &[], &["N".into()]), "0");
     }
 }

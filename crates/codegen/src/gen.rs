@@ -10,6 +10,90 @@ use pluto_poly::ConstraintSet;
 /// `(terms-without-var, konst, var coefficient, is-equality)`.
 type GuardRow = (Vec<(usize, Int)>, Int, Int, bool);
 
+/// A linear form over AST variables: `(terms, constant)`.
+type Lin = (Vec<(usize, Int)>, Int);
+
+/// What a scattering dimension equals along the current path: the
+/// variable of the loop (or point-region `Let`) scanning it, or the
+/// constant of a scalar row.
+#[derive(Clone, Copy)]
+enum Scat {
+    Var(usize),
+    Const(Int),
+}
+
+/// Adds `c·v` into `terms`, merging with an existing term over `v`.
+fn add_term(terms: &mut Vec<(usize, Int)>, v: usize, c: Int) {
+    if c == 0 {
+        return;
+    }
+    match terms.iter_mut().find(|t| t.0 == v) {
+        Some(t) => t.1 += c,
+        None => terms.push((v, c)),
+    }
+}
+
+/// The rows of `cs`, each tagged with whether it is an equality.
+fn tagged_rows(cs: &ConstraintSet) -> Vec<(Vec<Int>, bool)> {
+    let ineqs = cs.ineqs().iter().map(|r| (r.clone(), false));
+    ineqs
+        .chain(cs.eqs().iter().map(|r| (r.clone(), true)))
+        .collect()
+}
+
+/// `x` from `a·x + terms + konst == 0`: `(−terms − konst) / a` with the
+/// divisor made positive. Exact on integer points; from an inequality
+/// the same expression bounds `x` from below (`a > 0`, rounded up) or
+/// from above (`a < 0`, rounded down).
+fn solve(terms: &[(usize, Int)], konst: Int, a: Int) -> AffExpr {
+    let sign = -a.signum();
+    AffExpr {
+        terms: terms.iter().map(|&(v, c)| (v, sign * c)).collect(),
+        konst: sign * konst,
+        div: a.abs(),
+    }
+}
+
+/// The guard rows `grows` as conditions on `var`, the variable scanning
+/// their level.
+fn rows_on<'g>(var: usize, grows: impl Iterator<Item = &'g GuardRow>) -> Vec<CondRow> {
+    grows
+        .map(|(terms, konst, a, is_eq)| {
+            let mut t = terms.clone();
+            t.push((var, *a));
+            CondRow {
+                terms: t,
+                konst: *konst,
+                eq: *is_eq,
+            }
+        })
+        .collect()
+}
+
+/// `body` under `conds` in canonical form (just `body` when there are
+/// none).
+fn guarded(conds: Vec<CondRow>, body: Ast) -> Ast {
+    if conds.is_empty() {
+        return body;
+    }
+    Ast::Guard {
+        conds: CondRow::canonical(conds),
+        body: Box::new(body),
+    }
+}
+
+/// `body` with statement `stmt` filtered by `conds` in canonical form.
+fn filtered(stmt: usize, conds: Vec<CondRow>, body: Ast) -> Ast {
+    if conds.is_empty() {
+        return body;
+    }
+    Ast::Filter {
+        stmt,
+        conds: CondRow::canonical(conds),
+        body: Box::new(body),
+    }
+}
+
 /// Generates the loop AST scanning all statements of `prog` in the
 /// lexicographic order of their scatterings.
 ///
@@ -93,10 +177,8 @@ struct Gen<'a> {
     /// `projc[s][k]`: projection onto `[c_0..c_k, params, 1]`.
     projc: Vec<Vec<ConstraintSet>>,
     next_var: usize,
-    /// Variable ids of the scattering dims along the current path.
-    c_vars: Vec<usize>,
-    /// Per-statement guard rows accumulated along the current path.
-    guards: Vec<Vec<CondRow>>,
+    /// The scattering dims along the current path.
+    c_vars: Vec<Scat>,
 }
 
 impl<'a> Gen<'a> {
@@ -148,7 +230,6 @@ impl<'a> Gen<'a> {
             projc,
             next_var: np,
             c_vars: Vec::new(),
-            guards: vec![Vec::new(); nstmts],
         }
     }
 
@@ -166,9 +247,13 @@ impl<'a> Gen<'a> {
     /// Maps a projection row (over `[c_0..c_k, params, 1]`) into AST terms.
     fn row_terms(&self, row: &[Int], k: usize, skip: usize) -> (Vec<(usize, Int)>, Int) {
         let mut terms = Vec::new();
+        let mut konst = row[k + 1 + self.np];
         for (j, &coef) in row.iter().enumerate().take(k + 1) {
             if j != skip && coef != 0 {
-                terms.push((self.c_vars[j], coef));
+                match self.c_vars[j] {
+                    Scat::Var(v) => terms.push((v, coef)),
+                    Scat::Const(c) => konst += coef * c,
+                }
             }
         }
         for p in 0..self.np {
@@ -176,7 +261,7 @@ impl<'a> Gen<'a> {
                 terms.push((p, row[k + 1 + p]));
             }
         }
-        (terms, row[k + 1 + self.np])
+        (terms, konst)
     }
 
     fn rec(&mut self, level: usize, active: &[usize]) -> Ast {
@@ -189,7 +274,7 @@ impl<'a> Gen<'a> {
         if self.t.rows[level].kind == RowKind::Scalar {
             return self.scalar_level(level, active);
         }
-        self.loop_level(level, active)
+        self.loop_level_with(level, active, &[], &[])
     }
 
     fn scalar_level(&mut self, level: usize, active: &[usize]) -> Ast {
@@ -212,26 +297,17 @@ impl<'a> Gen<'a> {
         groups.sort_by_key(|(v, _)| *v);
         let mut seq = Vec::with_capacity(groups.len());
         for (c, group) in groups {
-            let var = self.alloc();
-            self.c_vars.push(var);
-            let body = self.rec(level + 1, &group);
+            // No variable: the constant folds into every row below that
+            // mentions this dimension.
+            self.c_vars.push(Scat::Const(c));
+            seq.push(self.rec(level + 1, &group));
             self.c_vars.pop();
-            seq.push(Ast::Let {
-                var,
-                name: format!("c{}", level + 1),
-                expr: AffExpr::constant(c),
-                body: Box::new(body),
-            });
         }
         if seq.len() == 1 {
             seq.pop().expect("single group")
         } else {
             Ast::Seq(seq)
         }
-    }
-
-    fn loop_level(&mut self, level: usize, active: &[usize]) -> Ast {
-        self.loop_level_with(level, active, &[], &[])
     }
 
     /// Emits the loop(s) for `level` over `active`, with optional extra
@@ -253,37 +329,17 @@ impl<'a> Gen<'a> {
             let mut lowers = Vec::new();
             let mut uppers = Vec::new();
             let mut grows = Vec::new();
-            let rows: Vec<(Vec<Int>, bool)> = proj
-                .ineqs()
-                .iter()
-                .map(|r| (r.clone(), false))
-                .chain(proj.eqs().iter().map(|r| (r.clone(), true)))
-                .collect();
-            for (row, is_eq) in rows {
+            for (row, is_eq) in tagged_rows(proj) {
                 let a = row[level];
                 if a == 0 {
                     continue;
                 }
                 let (terms, konst) = self.row_terms(&row, level, level);
                 if a > 0 || is_eq {
-                    // a·c + rest >= 0  =>  c >= ceil(−rest / a)   (a > 0)
-                    let aa = a.abs();
-                    let sign = if a > 0 { -1 } else { 1 };
-                    lowers.push(AffExpr {
-                        terms: terms.iter().map(|&(v, c)| (v, sign * c)).collect(),
-                        konst: sign * konst,
-                        div: aa,
-                    });
+                    lowers.push(solve(&terms, konst, a));
                 }
                 if a < 0 || is_eq {
-                    // c <= floor(rest / −a)   (a < 0)
-                    let aa = a.abs();
-                    let sign = if a < 0 { 1 } else { -1 };
-                    uppers.push(AffExpr {
-                        terms: terms.iter().map(|&(v, c)| (v, sign * c)).collect(),
-                        konst: sign * konst,
-                        div: aa,
-                    });
+                    uppers.push(solve(&terms, konst, a));
                 }
                 // Guard-row parts: (terms-without-var, konst, var coeff, eq).
                 grows.push((terms, konst, a, is_eq));
@@ -320,6 +376,19 @@ impl<'a> Gen<'a> {
                 .iter()
                 .all(|&s| self.t.par_for(s, level) == Parallelism::Vector);
         let name = format!("c{}", level + 1);
+        let node = |var: usize, lb: Bound, ub: Bound, body: Ast| {
+            Ast::Loop(LoopNode {
+                var,
+                name: name.clone(),
+                lb,
+                ub,
+                parallel,
+                vector,
+                unroll: 1,
+                level: Some(level),
+                body: Box::new(body),
+            })
+        };
 
         // Single statement, or all statements with identical bounds: one
         // guard-free loop over the (common) range.
@@ -327,24 +396,15 @@ impl<'a> Gen<'a> {
             && uppers_per.iter().all(|u| *u == uppers_per[0]);
         if active.len() == 1 || bounds_uniform {
             let var = self.alloc();
-            self.c_vars.push(var);
+            self.c_vars.push(Scat::Var(var));
             let body = self.rec(level + 1, active);
             self.c_vars.pop();
-            return Ast::Loop(LoopNode {
+            return node(
                 var,
-                name,
-                lb: Bound {
-                    groups: vec![lowers_per[0].clone()],
-                },
-                ub: Bound {
-                    groups: vec![uppers_per[0].clone()],
-                },
-                parallel,
-                vector,
-                unroll: 1,
-                level: Some(level),
-                body: Box::new(body),
-            });
+                Bound::lower(vec![lowers_per[0].clone()]),
+                Bound::upper(vec![uppers_per[0].clone()]),
+                body,
+            );
         }
 
         // A statement whose range at this level is a single point (an
@@ -375,44 +435,23 @@ impl<'a> Gen<'a> {
         let innermost = (level + 1..self.nrows).all(|r| self.t.rows[r].kind != RowKind::Loop);
         if !innermost || !shifted_uniform(&lowers_per) || !shifted_uniform(&uppers_per) {
             let var = self.alloc();
-            self.c_vars.push(var);
+            self.c_vars.push(Scat::Var(var));
             let mut body = self.rec(level + 1, active);
             // Per-statement activity conditions, evaluated once per
             // iteration of *this* loop (not per instance below it).
             for (ai, &s) in active.iter().enumerate() {
-                let rows: Vec<CondRow> = grows_per[ai]
+                let own = grows_per[ai]
                     .iter()
-                    .filter(|g| !grows_per.iter().all(|other| other.contains(g)))
-                    .map(|(terms, konst, a, is_eq)| {
-                        let mut t = terms.clone();
-                        t.push((var, *a));
-                        CondRow {
-                            terms: t,
-                            konst: *konst,
-                            eq: *is_eq,
-                        }
-                    })
-                    .collect();
-                if !rows.is_empty() {
-                    body = Ast::Filter {
-                        stmt: s,
-                        conds: rows,
-                        body: Box::new(body),
-                    };
-                }
+                    .filter(|g| !grows_per.iter().all(|other| other.contains(g)));
+                body = filtered(s, rows_on(var, own), body);
             }
             self.c_vars.pop();
-            return Ast::Loop(LoopNode {
+            return node(
                 var,
-                name,
-                lb: Bound { groups: lowers_per },
-                ub: Bound { groups: uppers_per },
-                parallel,
-                vector,
-                unroll: 1,
-                level: Some(level),
-                body: Box::new(body),
-            });
+                Bound::lower(lowers_per),
+                Bound::upper(uppers_per),
+                body,
+            );
         }
 
         // Statements share the loop with differing bounds: split the range
@@ -427,8 +466,8 @@ impl<'a> Gen<'a> {
         // Prologue: [union lb, kernel lb − 1]. max(lowers) − 1 as an upper
         // bound: one singleton group per (ceil-)lower converted to a floor
         // expression (ceil(n/d) − 1 == floor((n−1)/d)).
-        let prologue_ub = Bound {
-            groups: all_lowers
+        let prologue_ub = Bound::upper(
+            all_lowers
                 .iter()
                 .map(|e| {
                     let mut g = vec![AffExpr {
@@ -442,12 +481,12 @@ impl<'a> Gen<'a> {
                     g
                 })
                 .collect(),
-        };
+        );
         // Epilogue: [kernel ub + 1, union ub]. min(uppers) + 1 as a lower
         // bound: singleton groups per (floor-)upper converted to a ceil
         // expression (floor(n/d) + 1 == ceil((n+1)/d)).
-        let epilogue_lb = Bound {
-            groups: all_uppers
+        let epilogue_lb = Bound::lower(
+            all_uppers
                 .iter()
                 .map(|e| {
                     let mut g = vec![AffExpr {
@@ -459,59 +498,26 @@ impl<'a> Gen<'a> {
                     g
                 })
                 .collect(),
-        };
+        );
 
         let mut seq = Vec::with_capacity(3);
         for region in 0..3 {
             let var = self.alloc();
-            self.c_vars.push(var);
-            let guarded = region != 1;
+            self.c_vars.push(Scat::Var(var));
             let mut body = self.rec(level + 1, active);
-            if guarded {
+            if region != 1 {
                 for (ai, &s) in active.iter().enumerate() {
-                    let rows: Vec<CondRow> = grows_per[ai]
-                        .iter()
-                        .map(|(terms, konst, a, is_eq)| {
-                            let mut t = terms.clone();
-                            t.push((var, *a));
-                            CondRow {
-                                terms: t,
-                                konst: *konst,
-                                eq: *is_eq,
-                            }
-                        })
-                        .collect();
-                    if !rows.is_empty() {
-                        body = Ast::Filter {
-                            stmt: s,
-                            conds: rows,
-                            body: Box::new(body),
-                        };
-                    }
+                    body = filtered(s, rows_on(var, grows_per[ai].iter()), body);
                 }
             }
             self.c_vars.pop();
             let (lb, ub) = match region {
-                0 => (
-                    Bound {
-                        groups: lowers_per.clone(),
-                    },
-                    prologue_ub.clone(),
-                ),
+                0 => (Bound::lower(lowers_per.clone()), prologue_ub.clone()),
                 1 => (
-                    Bound {
-                        groups: vec![all_lowers.clone()],
-                    },
-                    Bound {
-                        groups: vec![all_uppers.clone()],
-                    },
+                    Bound::lower(vec![all_lowers.clone()]),
+                    Bound::upper(vec![all_uppers.clone()]),
                 ),
-                _ => (
-                    epilogue_lb.clone(),
-                    Bound {
-                        groups: uppers_per.clone(),
-                    },
-                ),
+                _ => (epilogue_lb.clone(), Bound::upper(uppers_per.clone())),
             };
             if region == 2 {
                 // Guard against re-executing the overlap when the kernel is
@@ -531,22 +537,9 @@ impl<'a> Gen<'a> {
                         }
                     })
                     .collect();
-                body = Ast::Guard {
-                    conds,
-                    body: Box::new(body),
-                };
+                body = guarded(conds, body);
             }
-            seq.push(Ast::Loop(LoopNode {
-                var,
-                name: name.clone(),
-                lb,
-                ub,
-                parallel,
-                vector,
-                unroll: 1,
-                level: Some(level),
-                body: Box::new(body),
-            }));
+            seq.push(node(var, lb, ub, body));
         }
         Ast::Seq(seq)
     }
@@ -573,13 +566,7 @@ impl<'a> Gen<'a> {
             .find(|(_, _, _, eq)| *eq)
             .expect("degenerate statement has an equality row")
             .clone();
-        // a*c + rest == 0  =>  c = (-rest)/a, exact on the integer points.
-        let sign = -a.signum();
-        let p = AffExpr {
-            terms: terms.iter().map(|&(v, c)| (v, sign * c)).collect(),
-            konst: sign * konst,
-            div: a.abs(),
-        };
+        let p = solve(&terms, konst, a);
         // The point region executes c = floord(n, d) (the `Let` below), so
         // the complements are relative to the *floor*: as a floor-evaluated
         // upper bound, q − 1 = floord(n − d, d); as a ceil-evaluated lower
@@ -601,32 +588,14 @@ impl<'a> Gen<'a> {
 
         // Region 2: c == p -- a single guarded instance of every statement.
         let var = self.alloc();
-        self.c_vars.push(var);
+        self.c_vars.push(Scat::Var(var));
         let mut body2 = self.rec(level + 1, active);
         for (ai, &s) in active.iter().enumerate() {
             // Every statement keeps its own rows at this level as an
             // activity filter (for `d` these include tile/context
             // constraints linking the point to outer dims, and the
             // divisibility of the equality).
-            let rows: Vec<CondRow> = grows_per[ai]
-                .iter()
-                .map(|(t, k, coeff, eq)| {
-                    let mut tt = t.clone();
-                    tt.push((var, *coeff));
-                    CondRow {
-                        terms: tt,
-                        konst: *k,
-                        eq: *eq,
-                    }
-                })
-                .collect();
-            if !rows.is_empty() {
-                body2 = Ast::Filter {
-                    stmt: s,
-                    conds: rows,
-                    body: Box::new(body2),
-                };
-            }
+            body2 = filtered(s, rows_on(var, grows_per[ai].iter()), body2);
         }
         self.c_vars.pop();
         // Region-wide caps (from enclosing splits) on the point itself.
@@ -649,19 +618,11 @@ impl<'a> Gen<'a> {
                 eq: false,
             });
         }
-        let inner2 = if conds.is_empty() {
-            body2
-        } else {
-            Ast::Guard {
-                conds,
-                body: Box::new(body2),
-            }
-        };
         let r2 = Ast::Let {
             var,
             name: format!("c{}", level + 1),
             expr: p.clone(),
-            body: Box::new(inner2),
+            body: Box::new(guarded(conds, body2)),
         };
 
         // Region 3: c > p.
@@ -687,55 +648,54 @@ impl<'a> Gen<'a> {
         }
     }
 
+    /// Rewrites an extended-system row (over `[c…, dims, params, 1]`) as
+    /// a linear form over AST variables, substituting what the scattering
+    /// dims and the bound domain dims equal; `None` if the row mentions an
+    /// unbound dim other than `skip_dim`.
+    fn substitute(
+        &self,
+        row: &[Int],
+        dim_val: &[Option<Lin>],
+        skip_dim: Option<usize>,
+    ) -> Option<Lin> {
+        let nd = dim_val.len();
+        let mut terms = Vec::new();
+        let mut konst = row[self.nrows + nd + self.np];
+        for (j, &coef) in row[..self.nrows].iter().enumerate() {
+            match self.c_vars[j] {
+                Scat::Var(v) => add_term(&mut terms, v, coef),
+                Scat::Const(c) => konst += coef * c,
+            }
+        }
+        for d in 0..nd {
+            let coef = row[self.nrows + d];
+            if Some(d) == skip_dim || coef == 0 {
+                continue;
+            }
+            let (dterms, dkonst) = dim_val[d].as_ref()?;
+            for &(v, c) in dterms {
+                add_term(&mut terms, v, coef * c);
+            }
+            konst += coef * dkonst;
+        }
+        for p in 0..self.np {
+            add_term(&mut terms, p, row[self.nrows + nd + p]);
+        }
+        terms.retain(|t| t.1 != 0);
+        Some((terms, konst))
+    }
+
     fn leaf(&mut self, s: usize) -> Ast {
         let nd = self.ndims[s];
         let width = self.nrows + nd + self.np + 1;
-        let mut dim_var: Vec<Option<usize>> = vec![None; nd];
-        // (wrapping order: lets/loops created first are outermost)
-        enum Wrap {
-            Let {
-                var: usize,
-                name: String,
-                expr: AffExpr,
-            },
-            Loop {
-                var: usize,
-                name: String,
-                lb: Bound,
-                ub: Bound,
-            },
-        }
-        let mut wraps: Vec<Wrap> = Vec::new();
-        let mut conds: Vec<CondRow> = self.guards[s].clone();
+        // What each domain dim equals: the substituted solution of a
+        // unit-coefficient scattering equality (nothing is emitted for
+        // it), or the variable a `Let`/loop below binds.
+        let mut dim_val: Vec<Option<Lin>> = vec![None; nd];
+        // The lets and loops around the leaf, outermost first.
+        let mut wraps: Vec<Box<dyn FnOnce(Ast) -> Ast>> = Vec::new();
+        let mut conds: Vec<CondRow> = Vec::new();
         let mut any_loop = false;
-
-        // Translate an extended-system row into AST terms given the
-        // current dim bindings; returns None if it mentions unbound dims.
-        let (nrows, np) = (self.nrows, self.np);
-        let to_terms = move |row: &[Int],
-                             dim_var: &[Option<usize>],
-                             c_vars: &[usize],
-                             skip_dim: Option<usize>|
-              -> Option<(Vec<(usize, Int)>, Int)> {
-            let mut terms = Vec::new();
-            for j in 0..nrows {
-                if row[j] != 0 {
-                    terms.push((c_vars[j], row[j]));
-                }
-            }
-            for d in 0..nd {
-                if Some(d) == skip_dim || row[nrows + d] == 0 {
-                    continue;
-                }
-                terms.push((dim_var[d]?, row[nrows + d]));
-            }
-            for p in 0..np {
-                if row[nrows + nd + p] != 0 {
-                    terms.push((p, row[nrows + nd + p]));
-                }
-            }
-            Some((terms, row[width - 1]))
-        };
 
         let eqs: Vec<Vec<Int>> = self.ext[s].eqs().to_vec();
         loop {
@@ -746,7 +706,7 @@ impl<'a> Gen<'a> {
             while progress {
                 progress = false;
                 for d in 0..nd {
-                    if dim_var[d].is_some() {
+                    if dim_val[d].is_some() {
                         continue;
                     }
                     for row in &eqs {
@@ -754,29 +714,23 @@ impl<'a> Gen<'a> {
                         if a == 0 {
                             continue;
                         }
-                        let Some((terms, konst)) = to_terms(row, &dim_var, &self.c_vars, Some(d))
-                        else {
+                        let Some((terms, konst)) = self.substitute(row, &dim_val, Some(d)) else {
                             continue;
                         };
-                        // a·d + rest == 0  =>  d = (−rest)/a, exact on
-                        // integer points; emitted as floord with a
-                        // sign-normalized divisor.
-                        let sign = -a.signum();
-                        let var = self.alloc();
-                        let expr = AffExpr {
-                            terms: terms.iter().map(|&(v, c)| (v, sign * c)).collect(),
-                            konst: sign * konst,
-                            div: a.abs(),
-                        };
-                        wraps.push(Wrap::Let {
-                            var,
-                            name: self.t.dim_names[s][d].clone(),
-                            expr,
-                        });
-                        dim_var[d] = Some(var);
-                        if a.abs() > 1 {
-                            // Divisibility guard: the equality must hold
-                            // exactly.
+                        let solved = solve(&terms, konst, a);
+                        dim_val[d] = Some(if solved.div == 1 {
+                            (solved.terms, solved.konst)
+                        } else {
+                            // Not affine: bind the floord and guard that
+                            // the equality holds exactly.
+                            let var = self.alloc();
+                            let name = self.t.dim_names[s][d].clone();
+                            wraps.push(Box::new(move |body| Ast::Let {
+                                var,
+                                name,
+                                expr: solved,
+                                body: Box::new(body),
+                            }));
                             let mut gterms = terms;
                             gterms.push((var, a));
                             conds.push(CondRow {
@@ -784,13 +738,14 @@ impl<'a> Gen<'a> {
                                 konst,
                                 eq: true,
                             });
-                        }
+                            (vec![(var, 1)], 0)
+                        });
                         progress = true;
                         break;
                     }
                 }
             }
-            let Some(d) = (0..nd).find(|&d| dim_var[d].is_none()) else {
+            let Some(d) = (0..nd).find(|&d| dim_val[d].is_none()) else {
                 break;
             };
             // Fall back to a loop over dim d: bounds from the projection
@@ -801,13 +756,7 @@ impl<'a> Gen<'a> {
             let mut lowers = Vec::new();
             let mut uppers = Vec::new();
             let col = self.nrows + d;
-            let rows: Vec<(Vec<Int>, bool)> = q
-                .ineqs()
-                .iter()
-                .map(|r| (r.clone(), false))
-                .chain(q.eqs().iter().map(|r| (r.clone(), true)))
-                .collect();
-            for (row, is_eq) in rows {
+            for (row, is_eq) in tagged_rows(&q) {
                 let a = row[col];
                 if a == 0 {
                     continue;
@@ -818,25 +767,14 @@ impl<'a> Gen<'a> {
                 for p in 0..=self.np {
                     full[self.nrows + nd + p] = row[col + 1 + p];
                 }
-                let Some((terms, konst)) = to_terms(&full, &dim_var, &self.c_vars, Some(d)) else {
+                let Some((terms, konst)) = self.substitute(&full, &dim_val, Some(d)) else {
                     continue;
                 };
-                let aa = a.abs();
                 if a > 0 || is_eq {
-                    let sign = if a > 0 { -1 } else { 1 };
-                    lowers.push(AffExpr {
-                        terms: terms.iter().map(|&(v, c)| (v, sign * c)).collect(),
-                        konst: sign * konst,
-                        div: aa,
-                    });
+                    lowers.push(solve(&terms, konst, a));
                 }
                 if a < 0 || is_eq {
-                    let sign = if a < 0 { 1 } else { -1 };
-                    uppers.push(AffExpr {
-                        terms: terms.iter().map(|&(v, c)| (v, sign * c)).collect(),
-                        konst: sign * konst,
-                        div: aa,
-                    });
+                    uppers.push(solve(&terms, konst, a));
                 }
                 // The skipped `full` row also holds dim d's coefficient —
                 // include the raw row as a guard for exactness below.
@@ -845,17 +783,21 @@ impl<'a> Gen<'a> {
                 !lowers.is_empty() && !uppers.is_empty(),
                 "statement {s}: unbounded domain dim {d}"
             );
-            wraps.push(Wrap::Loop {
-                var,
-                name: self.t.dim_names[s][d].clone(),
-                lb: Bound {
-                    groups: vec![lowers],
-                },
-                ub: Bound {
-                    groups: vec![uppers],
-                },
-            });
-            dim_var[d] = Some(var);
+            let name = self.t.dim_names[s][d].clone();
+            wraps.push(Box::new(move |body| {
+                Ast::Loop(LoopNode {
+                    var,
+                    name,
+                    lb: Bound::lower(vec![lowers]),
+                    ub: Bound::upper(vec![uppers]),
+                    parallel: false,
+                    vector: false,
+                    unroll: 1,
+                    level: None,
+                    body: Box::new(body),
+                })
+            }));
+            dim_val[d] = Some((vec![(var, 1)], 0));
         }
 
         if any_loop {
@@ -864,7 +806,7 @@ impl<'a> Gen<'a> {
             // that mentions a domain dim.
             for row in self.ext[s].ineqs() {
                 if (0..nd).any(|d| row[self.nrows + d] != 0) {
-                    if let Some((terms, konst)) = to_terms(row, &dim_var, &self.c_vars, None) {
+                    if let Some((terms, konst)) = self.substitute(row, &dim_val, None) {
                         conds.push(CondRow {
                             terms,
                             konst,
@@ -875,43 +817,24 @@ impl<'a> Gen<'a> {
             }
         }
 
-        let n_orig = self.t.num_orig_dims[s];
-        let orig_dims: Vec<usize> = (nd - n_orig..nd)
-            .map(|d| dim_var[d].expect("all dims bound"))
+        // Supernode dims appear in no argument: nothing binds them.
+        let args: Vec<AffExpr> = dim_val[nd - self.t.num_orig_dims[s]..]
+            .iter()
+            .map(|v| {
+                let (terms, konst) = v.clone().expect("all dims bound");
+                AffExpr {
+                    terms,
+                    konst,
+                    div: 1,
+                }
+            })
             .collect();
-        let mut node = Ast::Stmt { stmt: s, orig_dims };
-        if !conds.is_empty() {
-            // Most-selective first for short-circuit evaluation: equality
-            // rows, then inner-level bound rows (pushed last).
-            conds.reverse();
-            conds.sort_by_key(|c| !c.eq);
-            node = Ast::Guard {
-                conds,
-                body: Box::new(node),
-            };
-        }
-        for w in wraps.into_iter().rev() {
-            node = match w {
-                Wrap::Let { var, name, expr } => Ast::Let {
-                    var,
-                    name,
-                    expr,
-                    body: Box::new(node),
-                },
-                Wrap::Loop { var, name, lb, ub } => Ast::Loop(LoopNode {
-                    var,
-                    name,
-                    lb,
-                    ub,
-                    parallel: false,
-                    vector: false,
-                    unroll: 1,
-                    level: None,
-                    body: Box::new(node),
-                }),
-            };
-        }
-        node
+        // Most-selective first for short-circuit evaluation: equality
+        // rows, then inner-level bound rows (pushed last).
+        conds.reverse();
+        conds.sort_by_key(|c| !c.eq);
+        let node = guarded(conds, Ast::Stmt { stmt: s, args });
+        wraps.into_iter().rev().fold(node, |body, wrap| wrap(body))
     }
 }
 

@@ -12,8 +12,10 @@
 //!   exact `floord`/`ceild` divisions;
 //! * scalar scattering dimensions split the statement set into sequenced
 //!   groups (fusion structure / textual order);
-//! * domain dimensions that the scattering determines are recovered with
-//!   `Let` bindings (exact integer division), the rest with inner loops;
+//! * domain dimensions the scattering determines are substituted into
+//!   the statement's arguments (`S1(c3,c4-2*c3)`; a `Let` only where
+//!   the recovery is a `floord`), the rest get inner loops; bounds and
+//!   guards name each operand once, with the tighter constant;
 //! * statements sharing a loop carry hoisted guard conditions for their
 //!   own bounds; single-statement loops are guard-free.
 //!

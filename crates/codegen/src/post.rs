@@ -68,7 +68,7 @@ mod tests {
     fn marks_only_innermost() {
         let inner = simple_loop(Ast::Stmt {
             stmt: 0,
-            orig_dims: vec![],
+            args: vec![],
         });
         let mut nest = simple_loop(inner);
         unroll_innermost(&mut nest, 4);

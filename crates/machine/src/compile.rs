@@ -9,11 +9,17 @@
 //!   program counter and a loop-frame stack — no recursion, no
 //!   `match` on boxed children per node visit.
 //! * **Affine accesses** are folded into strided address polynomials:
-//!   the row-major offset `Σ_k row_k(iters, params) · Π_{j>k} extent_j`
-//!   is expanded once into `base + Σ_d stride_d · vals[slot_d]`, with
-//!   the parameter contribution folded into `base` (the executable
-//!   parameters are known at compile time). The inner loop is adds and
-//!   multiplies on `i64`, not matrix evaluation on `i128`.
+//!   the row-major offset `Σ_k row_k(iters, params) · Π_{j>k} extent_j`,
+//!   composed with the leaf's statement arguments (`iters = args(loop
+//!   variables, params)`), is expanded once into `base + Σ stride ·
+//!   vals[loop slot]`, with the parameter contribution folded into
+//!   `base` (the executable parameters are known at compile time). The
+//!   inner loop is adds and multiplies on `i64`, not matrix evaluation
+//!   on `i128` — and nothing binds the iterators per instance.
+//! * **Innermost-loop invariants are hoisted**: in a loop with no loop
+//!   inside, the terms of each access over slots the loop body never
+//!   writes are summed once at loop entry ([`CompiledKernel::hoists`]),
+//!   leaving `base + pre + stride · v` per instance.
 //! * **Statement bodies** become postfix op tapes evaluated on a small
 //!   stack. Postfix order is the post-order of the expression tree, so
 //!   the f64 operation order — and therefore the result bits — is
@@ -63,7 +69,7 @@ impl CAff {
     }
 
     #[inline]
-    fn numer(&self, vals: &[i64]) -> i64 {
+    pub(crate) fn numer(&self, vals: &[i64]) -> i64 {
         let mut v = self.konst;
         for &(var, c) in &self.terms {
             v += c * vals[var as usize];
@@ -167,7 +173,7 @@ impl CCond {
     }
 
     #[inline]
-    fn holds(&self, vals: &[i64]) -> bool {
+    pub(crate) fn holds(&self, vals: &[i64]) -> bool {
         let mut v = self.konst;
         for &(var, c) in &self.terms {
             v += c * vals[var as usize];
@@ -185,18 +191,24 @@ impl CCond {
     }
 }
 
-/// One strided affine access: `off = base + Σ stride_d · vals[slot_d]`,
+/// One strided affine access: `off = base + pre + Σ stride · vals[slot]`,
 /// valid iff `0 <= off < len` (checked by the executor before the raw
 /// load/store).
 #[derive(Debug, Clone)]
 pub struct CAccess {
     /// Array id in the program.
     pub array: u32,
-    /// Constant offset (parameter and constant contributions folded in).
+    /// Constant offset (parameter and constant contributions of the
+    /// access and of the statement arguments folded in).
     pub base: i64,
-    /// `(variable slot, stride)` pairs over the statement's original
-    /// iterators.
+    /// `(variable slot, stride)` pairs evaluated per instance, over loop
+    /// variables (and surviving `Let`s) once composed with the leaf's
+    /// arguments; with `pre` set, only those varying in the innermost loop.
     pub strides: Vec<(u32, i64)>,
+    /// Index into [`CompiledKernel::hoists`] of this access's
+    /// loop-invariant terms, summed once per entry of the innermost
+    /// enclosing loop.
+    pub pre: Option<u32>,
     /// Flattened array length the offset is checked against.
     pub len: u32,
 }
@@ -205,8 +217,8 @@ impl CAccess {
     /// Flattened offset; panics (like the tree-walk interpreter's
     /// subscript assert) when the access leaves the array.
     #[inline]
-    pub(crate) fn offset(&self, vals: &[i64]) -> usize {
-        let mut off = self.base;
+    pub(crate) fn offset(&self, vals: &[i64], pre: &[i64]) -> usize {
+        let mut off = self.base + self.pre.map_or(0, |k| pre[k as usize]);
         for &(slot, s) in &self.strides {
             off += s * vals[slot as usize];
         }
@@ -227,8 +239,8 @@ pub enum BodyOp {
     Read(u16),
     /// Push a literal.
     Lit(f64),
-    /// Push `vals[slot] as f64` (the iterator value, pre-resolved to
-    /// its variable slot).
+    /// Push iterator `k` of the statement as `f64`: the leaf's argument
+    /// [`CStmt::args`]`[k]` evaluated at the current loop variables.
     Iter(u32),
     Add,
     Sub,
@@ -245,6 +257,8 @@ pub struct CStmt {
     pub write: CAccess,
     /// Folded read accesses, in statement-read order.
     pub reads: Vec<CAccess>,
+    /// The statement's iterators over the slots ([`BodyOp::Iter`] reads one).
+    pub args: Vec<CAff>,
     /// Postfix body tape (post-order of the expression tree).
     pub body: Vec<BodyOp>,
     /// Flops per executed instance (for [`ExecStats`](crate::ExecStats)).
@@ -266,6 +280,9 @@ pub enum Instr {
         /// Display name id (for dispatch records and trace spans).
         name: u32,
         exit: u32,
+        /// Range `[lo, hi)` of [`CompiledKernel::hoists`] summed on
+        /// entry (non-empty only for loops with no loop inside).
+        hoist: (u32, u32),
     },
     /// Bottom of a loop body: increment and jump to `top + 1`, or pop
     /// the frame and fall through.
@@ -301,7 +318,7 @@ pub enum Instr {
 }
 
 /// Where one compiled statement leaf came from: the IR statement and the
-/// variable slots that hold its original iterator values. Recorded at
+/// arguments that give its original iterator values. Recorded at
 /// compile time (instead of being discarded with the AST) so the static
 /// bytecode verifier can re-expand every folded access against the IR
 /// access matrices, and so `--trace` dispatch events can name the source
@@ -310,9 +327,9 @@ pub enum Instr {
 pub struct LeafOrigin {
     /// IR statement id.
     pub stmt: usize,
-    /// Slot ids of the statement's original iterators, in statement
-    /// order (a copy of the AST leaf's `orig_dims`).
-    pub orig_dims: Vec<usize>,
+    /// The statement's original iterators as affine expressions over
+    /// slots, in statement order (a copy of the AST leaf's `args`).
+    pub args: Vec<AffExpr>,
 }
 
 /// Where one compiled loop came from. One entry per [`Instr::Loop`], in
@@ -371,6 +388,10 @@ pub struct CompiledKernel {
     pub exprs: Vec<CAff>,
     /// Guard/filter condition pool, indexed by `[lo, hi)` ranges.
     pub conds: Vec<CCond>,
+    /// Hoisted access invariants, `Σ stride · vals[slot]` each, indexed
+    /// by [`CAccess::pre`] and summed by the [`Instr::Loop`] whose
+    /// `hoist` range holds them.
+    pub hoists: Vec<Vec<(u32, i64)>>,
     /// Statement leaves, indexed by [`Instr::Stmt`]'s `leaf`.
     pub leaves: Vec<CStmt>,
     /// Loop display names, indexed by [`Instr::Loop`]'s `name`.
@@ -403,6 +424,7 @@ struct Lowerer<'p> {
     upper: Vec<CBound>,
     exprs: Vec<CAff>,
     conds: Vec<CCond>,
+    hoists: Vec<Vec<(u32, i64)>>,
     leaves: Vec<CStmt>,
     names: Vec<String>,
     provenance: Provenance,
@@ -431,6 +453,7 @@ impl Lowerer<'_> {
                     parallel: l.parallel,
                     name,
                     exit: 0, // patched below
+                    hoist: (0, 0),
                 });
                 // Loop provenance entries stay pc-sorted because `at` is
                 // allocated before the body's nested loops are lowered.
@@ -447,13 +470,18 @@ impl Lowerer<'_> {
                     mask |= 1u64 << (leaf.stmt as u64).min(63);
                 }
                 self.provenance.loops[prov_at].stmts = mask;
+                let hoist_lo = self.hoists.len() as u32;
+                if self.provenance.loops.len() == prov_at + 1 {
+                    self.hoist_invariants(at, leaves_before, l.var as u32);
+                }
                 self.code.push(Instr::LoopEnd {
                     var: l.var as u32,
                     top: at as u32,
                 });
-                let exit = self.code.len() as u32;
-                if let Instr::Loop { exit: e, .. } = &mut self.code[at] {
-                    *e = exit;
+                let (past, hoist_hi) = (self.code.len() as u32, self.hoists.len() as u32);
+                if let Instr::Loop { exit, hoist, .. } = &mut self.code[at] {
+                    *exit = past;
+                    *hoist = (hoist_lo, hoist_hi);
                 }
             }
             Ast::Let {
@@ -487,8 +515,8 @@ impl Lowerer<'_> {
                 self.lower(body);
                 self.code.push(Instr::FilterExit { stmt: *stmt as u32 });
             }
-            Ast::Stmt { stmt, orig_dims } => {
-                let leaf = self.lower_stmt(*stmt, orig_dims);
+            Ast::Stmt { stmt, args } => {
+                let leaf = self.lower_stmt(*stmt, args);
                 self.code.push(Instr::Stmt { leaf });
             }
         }
@@ -504,18 +532,53 @@ impl Lowerer<'_> {
         (self.upper.len() - 1) as u32
     }
 
-    /// Folds one access map (rows over `[iters..., params..., 1]`) into
+    /// The loop opened at `at` has no loop inside: moves, out of every
+    /// access in its body, the terms over slots other than `var` into a
+    /// [`CompiledKernel::hoists`] entry the loop sums once on entry —
+    /// unless a `Let` in the body writes one of those slots. Accesses
+    /// with the same invariant terms share an entry.
+    fn hoist_invariants(&mut self, at: usize, first_leaf: usize, var: u32) {
+        let first = self.hoists.len();
+        let written: Vec<u32> = self.code[at + 1..]
+            .iter()
+            .filter_map(|i| match i {
+                Instr::Let { var, .. } => Some(*var),
+                _ => None,
+            })
+            .collect();
+        for leaf in &mut self.leaves[first_leaf..] {
+            for acc in std::iter::once(&mut leaf.write).chain(&mut leaf.reads) {
+                let (varying, inv): (Vec<_>, Vec<_>) =
+                    acc.strides.iter().partition(|&&(slot, _)| slot == var);
+                if inv.is_empty() || inv.iter().any(|(slot, _)| written.contains(slot)) {
+                    continue;
+                }
+                let k = match self.hoists[first..].iter().position(|h| *h == inv) {
+                    Some(k) => first + k,
+                    None => {
+                        self.hoists.push(inv);
+                        self.hoists.len() - 1
+                    }
+                };
+                acc.strides = varying;
+                acc.pre = Some(k as u32);
+            }
+        }
+    }
+
+    /// Folds one access map (rows over `[iters..., params..., 1]`),
+    /// composed with the leaf's arguments (`iters = args(slots)`), into
     /// a strided polynomial over variable slots, with the parameter and
     /// constant contributions collapsed into `base`.
     fn lower_access(
         &self,
         array: usize,
         rows: &[Vec<pluto_linalg::Int>],
-        orig_dims: &[usize],
+        args: &[AffExpr],
     ) -> CAccess {
         let ext = &self.extents[array];
         assert_eq!(rows.len(), ext.len(), "access rank mismatch");
-        let n_iters = orig_dims.len();
+        let n_iters = args.len();
         let n_params = self.params.len();
         // Row-major: row k is scaled by the product of trailing extents.
         let mut rstride = vec![1i64; rows.len()];
@@ -534,72 +597,77 @@ impl Lowerer<'_> {
                 per_dim[d] += narrow(row[d]) * rstride[k];
             }
         }
-        let strides = per_dim
-            .iter()
-            .enumerate()
-            .filter(|&(_, &c)| c != 0)
-            .map(|(d, &c)| (orig_dims[d] as u32, c))
-            .collect();
+        // Iterator d is `args[d]`: its constant and parameters go to
+        // `base`, its loop-variable terms become strides.
+        let mut strides: Vec<(u32, i64)> = Vec::new();
+        for (arg, &c) in args.iter().zip(&per_dim) {
+            debug_assert_eq!(arg.div, 1, "statement arguments are affine");
+            base += c * narrow(arg.konst);
+            for &(v, k) in &arg.terms {
+                let k = c * narrow(k);
+                if v < n_params {
+                    base += k * self.params[v];
+                    continue;
+                }
+                match strides.iter_mut().find(|s| s.0 == v as u32) {
+                    Some(s) => s.1 += k,
+                    None => strides.push((v as u32, k)),
+                }
+            }
+        }
+        strides.retain(|s| s.1 != 0);
         let len: usize = ext.iter().product::<usize>().max(1);
         CAccess {
             array: array as u32,
             base,
             strides,
+            pre: None,
             len: u32::try_from(len).expect("array length exceeds u32"),
         }
     }
 
     /// Emits the postfix tape for a statement body (post-order = the
     /// tree-walk's recursive evaluation order, hence bit-exact f64).
-    fn lower_body(&self, e: &Expr, orig_dims: &[usize], out: &mut Vec<BodyOp>) {
+    fn lower_body(e: &Expr, out: &mut Vec<BodyOp>) {
         match e {
             Expr::Read(k) => out.push(BodyOp::Read(*k as u16)),
             Expr::Lit(v) => out.push(BodyOp::Lit(*v)),
-            Expr::Iter(k) => out.push(BodyOp::Iter(orig_dims[*k] as u32)),
-            Expr::Add(a, b) => {
-                self.lower_body(a, orig_dims, out);
-                self.lower_body(b, orig_dims, out);
-                out.push(BodyOp::Add);
-            }
-            Expr::Sub(a, b) => {
-                self.lower_body(a, orig_dims, out);
-                self.lower_body(b, orig_dims, out);
-                out.push(BodyOp::Sub);
-            }
-            Expr::Mul(a, b) => {
-                self.lower_body(a, orig_dims, out);
-                self.lower_body(b, orig_dims, out);
-                out.push(BodyOp::Mul);
-            }
-            Expr::Div(a, b) => {
-                self.lower_body(a, orig_dims, out);
-                self.lower_body(b, orig_dims, out);
-                out.push(BodyOp::Div);
+            Expr::Iter(k) => out.push(BodyOp::Iter(*k as u32)),
+            Expr::Add(a, b) | Expr::Sub(a, b) | Expr::Mul(a, b) | Expr::Div(a, b) => {
+                Self::lower_body(a, out);
+                Self::lower_body(b, out);
+                out.push(match e {
+                    Expr::Add(..) => BodyOp::Add,
+                    Expr::Sub(..) => BodyOp::Sub,
+                    Expr::Mul(..) => BodyOp::Mul,
+                    _ => BodyOp::Div,
+                });
             }
         }
     }
 
-    fn lower_stmt(&mut self, stmt: usize, orig_dims: &[usize]) -> u32 {
+    fn lower_stmt(&mut self, stmt: usize, args: &[AffExpr]) -> u32 {
         let s = &self.prog.stmts[stmt];
-        debug_assert_eq!(orig_dims.len(), s.num_iters());
-        let write = self.lower_access(s.write.array, &s.write.map, orig_dims);
+        debug_assert_eq!(args.len(), s.num_iters());
+        let write = self.lower_access(s.write.array, &s.write.map, args);
         let reads = s
             .reads
             .iter()
-            .map(|r| self.lower_access(r.array, &r.map, orig_dims))
+            .map(|r| self.lower_access(r.array, &r.map, args))
             .collect();
         let mut body = Vec::new();
-        self.lower_body(&s.body, orig_dims, &mut body);
+        Self::lower_body(&s.body, &mut body);
         self.leaves.push(CStmt {
             stmt: stmt as u32,
             write,
             reads,
+            args: args.iter().map(CAff::from_ast).collect(),
             body,
             flops: s.body.num_ops() as u64,
         });
         self.provenance.leaves.push(LeafOrigin {
             stmt,
-            orig_dims: orig_dims.to_vec(),
+            args: args.to_vec(),
         });
         (self.leaves.len() - 1) as u32
     }
@@ -643,6 +711,7 @@ pub fn compile_kernel_with_extents(
         upper: Vec::new(),
         exprs: Vec::new(),
         conds: Vec::new(),
+        hoists: Vec::new(),
         leaves: Vec::new(),
         names: Vec::new(),
         provenance: Provenance::default(),
@@ -655,6 +724,7 @@ pub fn compile_kernel_with_extents(
         upper: lw.upper,
         exprs: lw.exprs,
         conds: lw.conds,
+        hoists: lw.hoists,
         leaves: lw.leaves,
         names: lw.names,
         num_slots,

@@ -27,7 +27,7 @@
 //! request the engine takes no clock reads and allocates no buffers.
 
 use crate::arrays::Arrays;
-use crate::compile::{compile_kernel, BodyOp, CCond, CompiledKernel, Instr};
+use crate::compile::{compile_kernel, BodyOp, CAff, CCond, CompiledKernel, Instr};
 use crate::mem::{Direct, Mem, RawMem, SendPtr};
 use crate::pool;
 use pluto_codegen::Ast;
@@ -118,6 +118,9 @@ pub fn chunk_plan(n_items: usize, width: usize) -> Vec<(usize, usize)> {
 /// bookkeeping, scratch stacks, stats).
 pub(crate) struct State {
     pub(crate) vals: Vec<i64>,
+    /// Hoisted access invariants of the open innermost loop, indexed
+    /// like [`CompiledKernel::hoists`].
+    pre: Vec<i64>,
     /// Upper bounds of open loop frames.
     ubs: Vec<i64>,
     /// Pass/fail of open filters (mirrors the suppression counters).
@@ -137,6 +140,7 @@ impl State {
         vals[..ck.params.len()].copy_from_slice(&ck.params);
         State {
             vals,
+            pre: vec![0; ck.hoists.len()],
             ubs: Vec::new(),
             fstack: Vec::new(),
             suppressed: vec![0; ck.num_stmts],
@@ -146,11 +150,12 @@ impl State {
         }
     }
 
-    /// A team member's state: same bindings and filter context as the
-    /// coordinator at the dispatch point, fresh counters.
+    /// A team member's state: same bindings, hoisted sums and filter
+    /// context as the coordinator at the dispatch point, fresh counters.
     fn fork(&self) -> State {
         State {
             vals: self.vals.clone(),
+            pre: self.pre.clone(),
             ubs: Vec::new(),
             fstack: Vec::new(),
             suppressed: self.suppressed.clone(),
@@ -162,13 +167,19 @@ impl State {
 }
 
 #[inline]
-fn eval_body(ops: &[BodyOp], reads: &[f64], vals: &[i64], stack: &mut Vec<f64>) -> f64 {
+fn eval_body(
+    ops: &[BodyOp],
+    reads: &[f64],
+    args: &[CAff],
+    vals: &[i64],
+    stack: &mut Vec<f64>,
+) -> f64 {
     stack.clear();
     for op in ops {
         match *op {
             BodyOp::Read(k) => stack.push(reads[k as usize]),
             BodyOp::Lit(v) => stack.push(v),
-            BodyOp::Iter(slot) => stack.push(vals[slot as usize] as f64),
+            BodyOp::Iter(k) => stack.push(args[k as usize].numer(vals) as f64),
             BodyOp::Add => bin(stack, |a, b| a + b),
             BodyOp::Sub => bin(stack, |a, b| a - b),
             BodyOp::Mul => bin(stack, |a, b| a * b),
@@ -193,11 +204,11 @@ fn run_leaf<M: Mem>(ck: &CompiledKernel, leaf: u32, st: &mut State, mem: &mut M)
     }
     st.reads.clear();
     for r in &l.reads {
-        let off = r.offset(&st.vals);
+        let off = r.offset(&st.vals, &st.pre);
         st.reads.push(mem.load(r.array as usize, off));
     }
-    let v = eval_body(&l.body, &st.reads, &st.vals, &mut st.stack);
-    let off = l.write.offset(&st.vals);
+    let v = eval_body(&l.body, &st.reads, &l.args, &st.vals, &mut st.stack);
+    let off = l.write.offset(&st.vals, &st.pre);
     mem.store(l.write.array as usize, off, v);
     st.stats.instances += 1;
     st.stats.flops += l.flops;
@@ -236,6 +247,20 @@ impl<M: Mem> OnParallel<M> for Inline {
     }
 }
 
+/// Sums the hoisted access invariants `[lo, hi)` at the current bindings
+/// — what entering the loop that owns them does. Whoever runs that
+/// loop's body without passing its header (a team member under
+/// `collapse: 2`) calls this per work item instead.
+#[inline]
+fn enter_hoists(ck: &CompiledKernel, (lo, hi): (u32, u32), st: &mut State) {
+    for k in lo as usize..hi as usize {
+        st.pre[k] = ck.hoists[k]
+            .iter()
+            .map(|&(slot, s)| s * st.vals[slot as usize])
+            .sum();
+    }
+}
+
 /// Executes bytecode region `[lo, hi)` to completion — the only
 /// interpreter loop, and the only place a `parallel` header is given
 /// meaning (by `par`).
@@ -257,9 +282,15 @@ pub(crate) fn run_region<M: Mem, P: OnParallel<M>>(
                 parallel,
                 name,
                 exit,
+                hoist,
             } => {
                 let lo_v = ck.lower[*lb as usize].eval_lower(&st.vals);
                 let hi_v = ck.upper[*ub as usize].eval_upper(&st.vals);
+                // Before `par` gets the loop: its members fork this state
+                // and run the body without passing this header.
+                if lo_v <= hi_v {
+                    enter_hoists(ck, *hoist, st);
+                }
                 let taken = *parallel && {
                     let l = ParLoop {
                         pc,
@@ -388,8 +419,11 @@ impl<'m> OnParallel<RawMem<'m>> for Team<'_> {
                     ub: iub,
                     parallel: true,
                     exit: iexit,
+                    hoist,
                     ..
-                } if *iexit as usize == exit - 1 => Some((*iv, *ilb, *iub, *iexit as usize)),
+                } if *iexit as usize == exit - 1 => {
+                    Some((*iv, *ilb, *iub, *iexit as usize, *hoist))
+                }
                 _ => None,
             }
         } else {
@@ -397,7 +431,7 @@ impl<'m> OnParallel<RawMem<'m>> for Team<'_> {
         };
         let mut items: Vec<(i64, i64)> = Vec::new();
         match inner {
-            Some((_, ilb, iub, _)) => {
+            Some((_, ilb, iub, _, _)) => {
                 for x in l.lo..=l.hi {
                     st.vals[var] = x;
                     let ylo = ck.lower[ilb as usize].eval_lower(&st.vals);
@@ -409,9 +443,11 @@ impl<'m> OnParallel<RawMem<'m>> for Team<'_> {
             }
             None => items.extend((l.lo..=l.hi).map(|x| (x, 0))),
         }
-        // The body region members execute per item.
-        let (body_lo, body_hi, inner_var) = match inner {
-            Some((iv, _, _, iexit)) => (pc + 2, iexit - 1, Some(iv)),
+        // The body region members execute per item; with it, the inner
+        // variable to bind and the inner loop's hoists, which depend on
+        // the outer variable and so are summed again per item.
+        let (body_lo, body_hi, inner) = match inner {
+            Some((iv, _, _, iexit, hoist)) => (pc + 2, iexit - 1, Some((iv, hoist))),
             None => (pc + 1, exit - 1, None),
         };
 
@@ -487,8 +523,9 @@ impl<'m> OnParallel<RawMem<'m>> for Team<'_> {
                 let hi = (lo + chunk).min(items_ref.len());
                 for &(x, y) in &items_ref[lo..hi] {
                     m.vals[var] = x;
-                    if let Some(iv) = inner_var {
+                    if let Some((iv, hoist)) = inner {
                         m.vals[iv as usize] = y;
+                        enter_hoists(ck, hoist, m);
                     }
                     run_region(ck, body_lo, body_hi, m, &mut mem, &mut Inline);
                 }

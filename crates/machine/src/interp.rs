@@ -12,7 +12,7 @@
 
 use crate::arrays::Arrays;
 use crate::exec::ExecStats;
-use pluto_codegen::Ast;
+use pluto_codegen::{AffExpr, Ast};
 use pluto_ir::{Expr, Program};
 use pluto_linalg::Int;
 
@@ -135,9 +135,9 @@ fn exec(
                 sc.suppressed[*stmt] -= 1;
             }
         }
-        Ast::Stmt { stmt, orig_dims } => {
+        Ast::Stmt { stmt, args } => {
             if sc.suppressed[*stmt] == 0 {
-                run_stmt(*stmt, orig_dims, vals, ctx, arrays, sc, stats);
+                run_stmt(*stmt, args, vals, ctx, arrays, sc, stats);
             }
         }
     }
@@ -146,7 +146,7 @@ fn exec(
 #[inline]
 fn run_stmt(
     stmt: usize,
-    orig_dims: &[usize],
+    args: &[AffExpr],
     vals: &[Int],
     ctx: &Ctx,
     arrays: &mut Arrays,
@@ -154,13 +154,14 @@ fn run_stmt(
     stats: &mut ExecStats,
 ) {
     let info = &ctx.stmts[stmt];
-    debug_assert_eq!(orig_dims.len(), info.n_iters);
+    debug_assert_eq!(args.len(), info.n_iters);
     sc.iters.clear();
     sc.iters_i64.clear();
     sc.vp.clear();
-    for &v in orig_dims {
-        sc.iters.push(vals[v]);
-        sc.iters_i64.push(vals[v] as i64);
+    for arg in args {
+        let v = arg.eval_floor(vals);
+        sc.iters.push(v);
+        sc.iters_i64.push(v as i64);
     }
     sc.vp.extend_from_slice(&sc.iters);
     sc.vp.extend_from_slice(&ctx.params);

@@ -52,6 +52,7 @@ mod compile;
 mod exec;
 mod interp;
 mod mem;
+mod mix;
 pub mod pool;
 mod sanitize;
 mod simulate;
@@ -70,5 +71,6 @@ pub use exec::{
     CHUNKS_PER_MEMBER, MIN_ITEMS_TO_ENLIST,
 };
 pub use interp::run_sequential;
+pub use mix::{control_mix, ControlMix};
 pub use sanitize::run_sanitized;
 pub use simulate::{simulate, MachineConfig, SimStats};

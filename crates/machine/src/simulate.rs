@@ -187,18 +187,19 @@ impl<'p> Machine<'p> {
         &mut self,
         core: usize,
         stmt: usize,
-        orig_dims: &[usize],
+        args: &[pluto_codegen::AffExpr],
         vals: &[Int],
         arrays: &mut Arrays,
     ) {
         let info = &self.stmts[stmt];
         let n_it = self.prog.stmts[stmt].num_iters();
-        debug_assert_eq!(orig_dims.len(), n_it);
+        debug_assert_eq!(args.len(), n_it);
         let mut iters = Vec::with_capacity(n_it);
         let mut iters_i64 = Vec::with_capacity(n_it);
-        for &v in orig_dims {
-            iters.push(vals[v]);
-            iters_i64.push(vals[v] as i64);
+        for arg in args {
+            let v = arg.eval_floor(vals);
+            iters.push(v);
+            iters_i64.push(v as i64);
         }
         let mut vp = iters.clone();
         vp.extend_from_slice(&self.params);
@@ -321,9 +322,9 @@ impl<'p> Machine<'p> {
                     self.suppressed[*stmt] -= 1;
                 }
             }
-            Ast::Stmt { stmt, orig_dims } => {
+            Ast::Stmt { stmt, args } => {
                 if self.suppressed[*stmt] == 0 {
-                    self.run_stmt(core, *stmt, orig_dims, vals, arrays);
+                    self.run_stmt(core, *stmt, args, vals, arrays);
                 }
             }
         }

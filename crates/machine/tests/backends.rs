@@ -10,6 +10,15 @@ use pluto_machine::{
     ParallelConfig,
 };
 
+/// The value of variable `v`, as a statement argument.
+fn var(v: usize) -> AffExpr {
+    AffExpr {
+        terms: vec![(v, 1)],
+        konst: 0,
+        div: 1,
+    }
+}
+
 /// `for var in 0..=N-1 { body }` (`N` is parameter slot 0).
 fn loop_over_n(var: usize, name: &str, parallel: bool, body: Ast) -> Ast {
     Ast::Loop(LoopNode {
@@ -64,7 +73,7 @@ fn sanitizer_blames_the_outer_of_two_nested_parallel_loops() {
     let prog = row_update();
     let leaf = Ast::Stmt {
         stmt: 0,
-        orig_dims: vec![1, 2],
+        args: vec![var(1), var(2)],
     };
     let ast = loop_over_n(1, "outer", true, loop_over_n(2, "inner", true, leaf));
     let mut arrays = Arrays::new(vec![vec![6]]);
@@ -83,7 +92,7 @@ fn sanitizer_blames_the_outer_of_two_nested_parallel_loops() {
     // Control: with only the inner loop marked there is nothing to report.
     let leaf = Ast::Stmt {
         stmt: 0,
-        orig_dims: vec![1, 2],
+        args: vec![var(1), var(2)],
     };
     let ast = loop_over_n(1, "outer", false, loop_over_n(2, "inner", true, leaf));
     let stats = run_sanitized(&prog, &ast, &[6], &mut arrays).expect("inner loop is race-free");
@@ -128,7 +137,7 @@ fn failing_filter_suppresses_the_leaf_on_every_backend() {
             true,
             Ast::Stmt {
                 stmt: 0,
-                orig_dims: vec![1],
+                args: vec![var(1)],
             },
         )),
     };

@@ -29,7 +29,8 @@
 //!   --profile-json    like --profile, but print the profile as
 //!                     `pluto-profile/3` JSON on stdout *instead of* the
 //!                     C code
-//!   --verify <vals>   execute original and transformed code at the given
+//!   --verify <vals>   execute the original code (reference evaluator) and
+//!                     the transformed code (bytecode engine) at the given
 //!                     comma-separated parameter values (arrays allocated
 //!                     from the source's declared extents) and check the
 //!                     results are bitwise identical
@@ -52,7 +53,7 @@ use pluto::Optimizer;
 use pluto_analyze::{diagnostics_json, is_clean, render_text};
 use pluto_codegen::{generate, original_schedule, unroll_innermost};
 use pluto_frontend::ParsedUnit;
-use pluto_machine::{run_parallel, run_sequential, Arrays, ParallelConfig};
+use pluto_machine::{run_compiled, run_parallel, run_sequential, Arrays, ParallelConfig};
 use pluto_obs::json::Json;
 use pluto_repro::compile::{compile, disable_solver_shortcuts, set_option, ExecShape};
 use std::io::Read;
@@ -268,6 +269,23 @@ fn run() -> Result<ExitCode, String> {
             trace.distinct_tids()
         );
     }
+    // So does --verify's: the original order on the reference evaluator,
+    // the transformed code on the bytecode engine, whose `execute/compile`
+    // and `execute/compiled` spans the profile below then lists.
+    let verified = match verify.as_deref() {
+        Some(values) => {
+            let shape = exec_shape(&unit, Some(values), "--verify")?;
+            let mut reference = Arrays::new(shape.extents.clone());
+            reference.seed_with(pluto_frontend::kernels::seed_value);
+            let orig = generate(prog, &original_schedule(prog));
+            let st = run_sequential(prog, &orig, &shape.params, &mut reference);
+            let mut transformed = Arrays::new(shape.extents);
+            transformed.seed_with(pluto_frontend::kernels::seed_value);
+            run_compiled(prog, &compiled.ast, &shape.params, &mut transformed);
+            Some((st.instances, transformed.bitwise_eq(&reference)))
+        }
+        None => None,
+    };
     if do_profile {
         let profile = obs.finish_profile();
         if profile_json {
@@ -279,24 +297,14 @@ fn run() -> Result<ExitCode, String> {
     if !analyze_json && !profile_json && !explain_json {
         print!("{}", compiled.code());
     }
-
-    if let Some(values) = verify.as_deref() {
-        let shape = exec_shape(&unit, Some(values), "--verify")?;
-        let mut reference = Arrays::new(shape.extents.clone());
-        reference.seed_with(pluto_frontend::kernels::seed_value);
-        let orig = generate(prog, &original_schedule(prog));
-        let st = run_sequential(prog, &orig, &shape.params, &mut reference);
-        let mut transformed = Arrays::new(shape.extents);
-        transformed.seed_with(pluto_frontend::kernels::seed_value);
-        run_sequential(prog, &compiled.ast, &shape.params, &mut transformed);
-        if transformed.bitwise_eq(&reference) {
-            eprintln!(
-                "plutoc: verified — {} instances, transformed output bitwise-identical",
-                st.instances
-            );
-        } else {
+    match verified {
+        Some((instances, true)) => eprintln!(
+            "plutoc: verified — {instances} instances, transformed output bitwise-identical"
+        ),
+        Some((_, false)) => {
             return Err("VERIFICATION FAILED — transformed output diverges".to_string());
         }
+        None => {}
     }
     Ok(if analyzer_failed {
         ExitCode::FAILURE

@@ -101,9 +101,10 @@ fn audit_with_exec_shape_runs_the_bytecode_verifier() {
     assert!(accesses > 0, "verifier must count re-expanded accesses");
 }
 
-/// Corrupting one stride coefficient of a compiled access is a
-/// miscompile PL008 must pin down, naming both the re-expanded and the
-/// compiled form.
+/// Corrupting one folded stride, one argument coefficient of a leaf's
+/// provenance record, or one hoisted invariant is a miscompile PL008
+/// must pin down; for the two access corruptions it names both the
+/// re-expanded and the compiled form.
 #[test]
 fn corrupted_stride_triggers_pl008() {
     let k = kernels::matmul();
@@ -111,22 +112,62 @@ fn corrupted_stride_triggers_pl008() {
     let t = original_schedule(prog);
     let ast = generate(prog, &t);
     let params = [10i64];
-    let mut ck = compile_kernel_with_extents(prog, &ast, &params, &(k.extents)(&params));
-    ck.leaves[0].write.strides[0].1 += 1;
+    let fresh = || compile_kernel_with_extents(prog, &ast, &params, &(k.extents)(&params));
+    // In the innermost `k` loop, `A[i][k]` keeps its `k` stride per
+    // instance and has its `i` term hoisted to loop entry.
+    let a_read = &fresh().leaves[0].reads[1];
+    assert_eq!(a_read.strides.len(), 1);
+    let hoist = a_read.pre.expect("i term hoisted") as usize;
+    type Corrupt = fn(&mut CompiledKernel, usize);
+    let corruptions: [(&str, Corrupt, &str); 3] = [
+        (
+            "folded stride",
+            |ck, _| ck.leaves[0].reads[1].strides[0].1 += 1,
+            "re-expands to",
+        ),
+        (
+            "hoisted invariant",
+            |ck, hoist| ck.hoists[hoist][0].1 += 1,
+            "re-expands to",
+        ),
+        (
+            "provenance argument",
+            |ck, _| ck.provenance.leaves[0].args[0].terms[0].1 += 1,
+            "provenance",
+        ),
+    ];
+    for (what, corrupt, expect) in corruptions {
+        let mut ck = fresh();
+        corrupt(&mut ck, hoist);
+        let diags = bytecode::check(&BytecodeInput {
+            program: prog,
+            transform: &t,
+            ast: &ast,
+            kernel: &ck,
+        });
+        let d = diags
+            .iter()
+            .find(|d| d.code == Code::BytecodeDivergence)
+            .unwrap_or_else(|| panic!("{what}: expected PL008, got:\n{}", render(&diags)));
+        assert!(d.message.contains(expect), "{what}: {}", d.message);
+    }
+    // A hoist that reads the variable of the loop summing it is not an
+    // invariant, whatever it adds up to.
+    let mut ck = fresh();
+    let k_slot = ck.leaves[0].reads[1].strides[0].0;
+    ck.hoists[hoist].push((k_slot, 0));
     let diags = bytecode::check(&BytecodeInput {
         program: prog,
         transform: &t,
         ast: &ast,
         kernel: &ck,
     });
-    let d = diags
-        .iter()
-        .find(|d| d.code == Code::BytecodeDivergence)
-        .unwrap_or_else(|| panic!("expected PL008, got:\n{}", render(&diags)));
     assert!(
-        d.message.contains("re-expands to"),
-        "PL008 must show both expansions: {}",
-        d.message
+        diags
+            .iter()
+            .any(|d| d.code == Code::BytecodeDivergence && d.message.contains("varies inside")),
+        "expected PL008 for the variant hoist, got:\n{}",
+        render(&diags)
     );
 
     // A desynced shape short-circuits to a single PL008 (the lockstep

@@ -57,6 +57,22 @@ fn verify_mode_checks_results() {
     assert!(stderr.contains("verified"), "{stderr}");
 }
 
+/// The profile is finished after the `--verify` execution, so it lists
+/// the run it describes: the reference walk of the original order and
+/// the bytecode compile + run of the transformed code.
+#[test]
+fn verify_execution_shows_in_the_profile() {
+    let (stdout, stderr, ok) = plutoc(&["--verify", "64,8", "--profile-json", "-"], SRC);
+    assert!(ok, "{stderr}");
+    assert!(stderr.contains("verified"), "{stderr}");
+    for phase in ["execute/sequential", "execute/compile", "execute/compiled"] {
+        assert!(
+            stdout.contains(&format!("\"path\": \"{phase}\"")),
+            "profile lacks the `{phase}` phase:\n{stdout}"
+        );
+    }
+}
+
 #[test]
 fn show_transform_prints_rows() {
     let (_, stderr, ok) = plutoc(&["--show-transform", "--notile", "-"], SRC);

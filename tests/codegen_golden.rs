@@ -128,13 +128,49 @@ fn fig13_seidel_wavefront_tile_space_code() {
         c2.contains("c1") && c2.contains("ceild("),
         "parallel tile loop has pipelined ceild bounds: {c2}"
     );
-    // All three point loops of the tile scan the skewed statement.
-    assert!(c.contains("S1(t,i,j)"), "statement macro call:\n{c}");
-    // Supernode recovery binds distinct (non-shadowing) tile iterators.
+    // The statement is called with its arguments over the point loops,
+    // the skew substituted away — CLooG's `S1(c3,c4-2*c3)` form.
     assert!(
-        c.contains("int tT") && c.contains("int tT_2"),
-        "deduplicated supernode names:\n{c}"
+        c.contains("S1(c4,c5-c4,c6-c4);"),
+        "statement call takes its arguments:\n{c}"
     );
+    // Nothing binds an iterator per instance: no recovered `t`/`i`/`j`,
+    // no supernode nothing reads, no constant for the scalar row.
+    assert!(!c.contains("{ int "), "no per-instance binding:\n{c}");
+}
+
+/// Fig. 3(d): the two statements of the tiled jacobi are called with
+/// arguments, and a bound names each operand once.
+#[test]
+fn fig3_jacobi_calls_take_arguments_and_bounds_are_canonical() {
+    let k = kernels::jacobi_1d_imperfect();
+    let c = generate_c(&k, &Optimizer::new().tile_size(32).parallel(false));
+    assert!(c.contains("S1(c3,c4-2*c3);"), "{c}");
+    assert!(c.contains("S2(c3,c4-2*c3-1);"), "{c}");
+    assert!(!c.contains("int tT"), "supernodes are never bound:\n{c}");
+    // The guard-free kernel loop: the union of both statements' rows,
+    // each operand once with the tighter constant.
+    assert!(
+        c.contains("for (int c4 = pmax(2*c3+3,32*c2); c4 <= pmin(2*c3+N-2,32*c2+31); c4++)"),
+        "canonical kernel bounds:\n{c}"
+    );
+}
+
+/// Pluto's `ploog` rule: the `omp parallel for` goes on the outermost
+/// parallel loop of a nest only (matmul's `c1`; `c2`, `c4` and `c6` are
+/// parallel too and used to repeat it), the vector loop keeps `ivdep`.
+#[test]
+fn parallel_pragma_marks_the_outermost_parallel_loop_only() {
+    let k = kernels::matmul();
+    let c = generate_c(&k, &Optimizer::new().tile_size(32));
+    assert_eq!(c.matches("#pragma omp parallel for").count(), 1, "{c}");
+    let pragma = c.find("#pragma omp parallel for").unwrap();
+    let first_loop = c.find("for (int").unwrap();
+    assert!(
+        pragma < first_loop,
+        "the pragma is on the outermost loop:\n{c}"
+    );
+    assert_eq!(c.matches("#pragma ivdep").count(), 1, "{c}");
 }
 
 #[test]

@@ -270,3 +270,153 @@ fn cache_run_reproduces_tree_walk_counts() {
         }
     }
 }
+
+/// Original-order arrays of a parsed unit at `params`.
+fn parsed_reference(unit: &pluto_frontend::ParsedUnit, params: &[i64]) -> Arrays {
+    let prog = &unit.program;
+    let mut arrays = Arrays::new(unit.try_extents(params).expect("extents"));
+    arrays.seed_with(kernels::seed_value);
+    run_sequential(
+        prog,
+        &generate(prog, &original_schedule(prog)),
+        params,
+        &mut arrays,
+    );
+    arrays
+}
+
+/// A body that reads its iterators, under a skewed and tiled schedule:
+/// the leaf's arguments are not the loop variables (`S1(c3,c4-c3)`), so
+/// `BodyOp::Iter` has to evaluate the argument — there is no slot
+/// holding `i` any more. Bytecode, tree walk and original order agree
+/// bit for bit, sequentially and on a team of two.
+#[test]
+fn iterator_valued_body_under_skew_and_tiling_is_bit_exact() {
+    let unit = pluto_frontend::parse_unit(
+        "params T, N;
+         array a[N];
+         for (t = 0; t < T; t++)
+           for (i = 1; i <= N - 2; i++)
+             a[i] = 0.5 * (a[i-1] + a[i+1]) + 1.0 / (3.0 * t + i + 2.0);",
+    )
+    .expect("parse");
+    let prog = &unit.program;
+    let params = [9i64, 70];
+    let expect = parsed_reference(&unit, &params);
+    let optimized = Optimizer::new()
+        .tile_size(8)
+        .optimize(prog)
+        .expect("optimize");
+    let ast = generate(prog, &optimized.result.transform);
+    let c = pluto_codegen::emit_c(prog, &ast);
+    assert!(c.contains("-c"), "the schedule must skew `i`:\n{c}");
+    let fresh = || {
+        let mut a = Arrays::new(unit.try_extents(&params).unwrap());
+        a.seed_with(kernels::seed_value);
+        a
+    };
+    let mut walked = fresh();
+    run_sequential(prog, &ast, &params, &mut walked);
+    assert!(walked.bitwise_eq(&expect), "tree walk diverges");
+    for threads in [1usize, 2] {
+        let mut arrays = fresh();
+        let cfg = ParallelConfig {
+            threads,
+            collapse: 1,
+        };
+        run_parallel(prog, &ast, &params, &mut arrays, cfg);
+        assert!(arrays.bitwise_eq(&expect), "bytecode diverges at {threads}");
+    }
+}
+
+/// Team members run a dispatched loop's *body*: they never pass its
+/// header, and under `collapse: 2` not the inner loop's either. Here the
+/// innermost loop — the one whose header sums the hoisted `i` term of
+/// every access — is the dispatched loop (`collapse: 1`, only `j`
+/// parallel) or the skipped inner one (`collapse: 2`, both parallel);
+/// either way the members must see the sums the header would have made.
+#[test]
+fn dispatched_innermost_loop_keeps_its_hoisted_offsets() {
+    let unit = pluto_frontend::parse_unit(
+        "params N;
+         array a[N][N]; array b[N][N];
+         for (i = 0; i < N; i++)
+           for (j = 0; j < N; j++)
+             b[i][j] = 2.0 * a[i][j] + i;",
+    )
+    .expect("parse");
+    let prog = &unit.program;
+    let params = [24i64];
+    let expect = parsed_reference(&unit, &params);
+    // Rows of the 2d+1 schedule: 0 scalar, 1 = i, 2 scalar, 3 = j.
+    for (rows, collapse) in [(&[3usize][..], 1usize), (&[1, 3][..], 2)] {
+        let mut t = original_schedule(prog);
+        for &r in rows {
+            t.rows[r].par = pluto::Parallelism::Parallel;
+            t.stmt_par[0][r] = pluto::Parallelism::Parallel;
+        }
+        let ast = generate(prog, &t);
+        let mut arrays = Arrays::new(unit.try_extents(&params).unwrap());
+        arrays.seed_with(kernels::seed_value);
+        let ck = compile_kernel(prog, &ast, &params, &arrays);
+        assert!(
+            ck.leaves[0].write.pre.is_some(),
+            "the `i` term of b[i][j] is hoisted out of the `j` loop"
+        );
+        let cfg = ParallelConfig {
+            threads: 3,
+            collapse,
+        };
+        let stats = run_compiled_parallel(&ck, &mut arrays, cfg);
+        assert_eq!(stats.instances, 24 * 24);
+        // One dispatch for the collapsed pair, one per `i` otherwise.
+        assert_eq!(stats.parallel_regions, if collapse == 2 { 1 } else { 24 });
+        assert!(arrays.bitwise_eq(&expect), "collapse {collapse} diverges");
+    }
+}
+
+/// A scattering row with coefficient 2 (`c = 2i`) has no affine inverse:
+/// its recovery stays a `Let i = floord(c,2)` under the equality guard
+/// `2i == c`, and executes exactly the `N` instances of the domain out
+/// of the `2N - 1` points the loop scans.
+#[test]
+fn non_unimodular_recovery_keeps_its_let_and_guard() {
+    let unit = pluto_frontend::parse_unit(
+        "params N;
+         array a[N]; array b[N];
+         for (i = 0; i < N; i++)
+           b[i] = a[i] + i;",
+    )
+    .expect("parse");
+    let prog = &unit.program;
+    let params = [37i64];
+    let expect = parsed_reference(&unit, &params);
+    let mut t = original_schedule(prog);
+    t.stmts[0].rows[1][0] = 2;
+    let ast = generate(prog, &t);
+    let s = ast.stats();
+    assert_eq!((s.lets, s.guards, s.stmts), (1, 1, 1), "{ast:?}");
+    let c = pluto_codegen::emit_c(prog, &ast);
+    assert!(c.contains("int i = floord(c2,2);"), "{c}");
+    assert!(c.contains("== 0"), "divisibility guard:\n{c}");
+    let mut arrays = Arrays::new(unit.try_extents(&params).unwrap());
+    arrays.seed_with(kernels::seed_value);
+    let ck = compile_kernel(prog, &ast, &params, &arrays);
+    let stats = run_compiled_parallel(
+        &ck,
+        &mut arrays,
+        ParallelConfig {
+            threads: 1,
+            collapse: 1,
+        },
+    );
+    assert_eq!(stats.instances, 37);
+    assert!(arrays.bitwise_eq(&expect));
+    let mut walked = Arrays::new(unit.try_extents(&params).unwrap());
+    walked.seed_with(kernels::seed_value);
+    assert_eq!(
+        run_sequential(prog, &ast, &params, &mut walked).instances,
+        37
+    );
+    assert!(walked.bitwise_eq(&expect));
+}
